@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the simulation substrate: routing
 // queries, per-message path construction, and end-to-end simulated messages
-// per second on a small system (the quantity that bounds every validation
-// sweep's wall time).
+// per second on a small system and on the paper's two Table-1 systems (the
+// quantity that bounds every validation sweep's wall time).
 #include <benchmark/benchmark.h>
 
+#include "model/compiled_model.h"
 #include "sim/coc_system_sim.h"
 #include "system/presets.h"
 #include "topology/m_port_n_tree.h"
@@ -103,6 +104,40 @@ void BM_SimulateSmallSystemReusedArena(benchmark::State& state) {
       static_cast<double>(messages), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulateSmallSystemReusedArena);
+
+/// One paper-scale run per iteration: 500/5000/500 messages at `load` of
+/// the model's saturation rate under uniform traffic. These keep far more
+/// flit events in flight than the small system, so they rank event-queue
+/// changes the way paper-scale validation runs do.
+void SimulatePaperSystem(benchmark::State& state, const SystemConfig& sys,
+                         double load) {
+  const CocSystemSim sim(sys);
+  SimConfig cfg;
+  cfg.lambda_g = load * CompiledModel(sys, Workload{}).SaturationRate(2e-3);
+  cfg.warmup_messages = 500;
+  cfg.measured_messages = 5000;
+  cfg.drain_messages = 500;
+  SimScratch scratch;
+  std::int64_t messages = 0;
+  for (auto _ : state) {
+    cfg.seed++;
+    const auto r = sim.Run(cfg, scratch);
+    messages += r.delivered;
+    benchmark::DoNotOptimize(r.latency.Mean());
+  }
+  state.counters["msgs/s"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kIsRate);
+}
+
+void BM_SimulateSystem1120(benchmark::State& state) {
+  SimulatePaperSystem(state, MakeSystem1120(MessageFormat{32, 256}), 0.2);
+}
+BENCHMARK(BM_SimulateSystem1120)->Unit(benchmark::kMillisecond);
+
+void BM_SimulateSystem544(benchmark::State& state) {
+  SimulatePaperSystem(state, MakeSystem544(MessageFormat{32, 256}), 0.3);
+}
+BENCHMARK(BM_SimulateSystem544)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace coc

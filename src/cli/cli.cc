@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -138,12 +139,12 @@ class Flags {
       throw std::invalid_argument("missing required flag --" + key);
     }
     used_.insert(key);
-    try {
-      return std::stod(it->second);
-    } catch (...) {
-      throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                  it->second + "'");
+    const auto v = ParseFullDouble(it->second);
+    if (!v || !std::isfinite(*v)) {
+      throw UsageError("--" + key + " expects a number, got '" + it->second +
+                       "'");
     }
+    return *v;
   }
 
   std::string Text(const std::string& key, const std::string& fallback) {

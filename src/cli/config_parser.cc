@@ -1,6 +1,7 @@
 #include "cli/config_parser.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "common/ini.h"
 #include "common/parse_num.h"
+#include "common/status.h"
 #include "system/presets.h"
 #include "topology/topology_spec.h"
 
@@ -42,14 +44,9 @@ double ToDouble(const Section& s, const std::string& key) {
   if (it == s.values.end()) {
     Fail(s.line, "section is missing key '" + key + "'");
   }
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("");
-    return v;
-  } catch (...) {
-    Fail(s.line, "key '" + key + "' is not a number: " + it->second);
-  }
+  const auto v = ParseFullDouble(it->second);
+  if (!v) Fail(s.line, "key '" + key + "' is not a number: " + it->second);
+  return *v;
 }
 
 int ToInt(const Section& s, const std::string& key) {
@@ -291,11 +288,22 @@ Experiment LoadExperiment(const std::string& path_or_preset) {
       rest = rest.substr(0, colon);
       const auto colon2 = fmt.find(':');
       if (colon2 == std::string::npos) {
-        throw std::invalid_argument(
-            "preset message format must be preset:NAME:M:dm");
+        throw UsageError("preset message format must be preset:NAME:M:dm");
       }
-      msg.length_flits = std::stoi(fmt.substr(0, colon2));
-      msg.flit_bytes = std::stod(fmt.substr(colon2 + 1));
+      const std::string m_text = fmt.substr(0, colon2);
+      const std::string dm_text = fmt.substr(colon2 + 1);
+      const auto m = ParseFullInt(m_text);
+      if (!m || *m < 1) {
+        throw UsageError("preset '" + path_or_preset +
+                         "': M must be an integer >= 1, got '" + m_text + "'");
+      }
+      const auto dm = ParseFullDouble(dm_text);
+      if (!dm || !std::isfinite(*dm) || *dm <= 0) {
+        throw UsageError("preset '" + path_or_preset +
+                         "': dm must be a number > 0, got '" + dm_text + "'");
+      }
+      msg.length_flits = *m;
+      msg.flit_bytes = *dm;
     }
     if (rest == "1120") return Experiment{MakeSystem1120(msg), Workload{}};
     if (rest == "544") return Experiment{MakeSystem544(msg), Workload{}};

@@ -1,5 +1,6 @@
 #include "sim/wormhole_engine.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace coc {
@@ -19,13 +20,38 @@ void ValidateFlitTimes(const std::vector<double>& times) {
 WormholeEngine::WormholeEngine(std::vector<double> channel_flit_times) {
   ValidateFlitTimes(channel_flit_times);
   flit_time_ = std::move(channel_flit_times);
+  AssignLanes();
   Reset();
 }
 
 void WormholeEngine::Reset(const std::vector<double>& channel_flit_times) {
   ValidateFlitTimes(channel_flit_times);
   flit_time_.assign(channel_flit_times.begin(), channel_flit_times.end());
+  AssignLanes();
   Reset();  // (re)sizes busy_time_ / channels_ to the new channel count
+}
+
+void WormholeEngine::AssignLanes() {
+  // Exact double equality: two channels share a lane only if their events
+  // land at bit-identical `now + t`, which keeps each lane time-sorted.
+  lane_time_.clear();
+  lane_of_.resize(flit_time_.size());
+  for (std::size_t ch = 0; ch < flit_time_.size(); ++ch) {
+    std::size_t l = 0;
+    while (l < lane_time_.size() && lane_time_[l] != flit_time_[ch]) ++l;
+    if (l == lane_time_.size()) lane_time_.push_back(flit_time_[ch]);
+    lane_of_[ch] = static_cast<std::int32_t>(l);
+  }
+  if (lanes_.size() < lane_time_.size()) lanes_.resize(lane_time_.size());
+}
+
+void WormholeEngine::GrowLane(Lane& q) {
+  std::vector<Event> bigger(std::max<std::size_t>(64, 2 * q.ring.size()));
+  for (std::size_t i = 0; i < q.size; ++i) {
+    bigger[i] = q.ring[(q.head + i) & (q.ring.size() - 1)];
+  }
+  q.ring.swap(bigger);
+  q.head = 0;
 }
 
 void WormholeEngine::Reset() {
@@ -36,9 +62,12 @@ void WormholeEngine::Reset() {
   arrived_.clear();
   granted_.clear();
   store_forward_.clear();
-  event_heap_.clear();
+  for (Lane& q : lanes_) q.head = q.size = 0;
+  heads_.assign(lane_time_.size(), kEmptyHead);
+  gen_order_.clear();
   busy_time_.assign(flit_time_.size(), 0.0);
   channels_.assign(flit_time_.size(), ChannelState{});
+  in_flight_ = 0;
   seq_ = 0;
   delivered_ = 0;
   end_time_ = 0;
@@ -104,17 +133,19 @@ std::int64_t WormholeEngine::AddMessage(
                     store_forward.data(), store_forward.size());
 }
 
-void WormholeEngine::Schedule(double time, std::int64_t msg, std::int32_t pos,
-                              std::int32_t flit) {
-  event_heap_.push_back(Event{time, seq_++, msg, pos, flit});
-  std::push_heap(event_heap_.begin(), event_heap_.end(), EventAfter{});
-}
-
-void WormholeEngine::ScheduleGenerations() {
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(messages_.size());
-       ++i) {
-    Schedule(messages_[static_cast<std::size_t>(i)].gen_time, i, -1, 0);
+void WormholeEngine::SortGenerations() {
+  // The order a heap holding every generation would give: generations
+  // scheduled in id order, so equal gen times fall back to the id.
+  gen_order_.resize(messages_.size());
+  for (std::size_t i = 0; i < gen_order_.size(); ++i) {
+    gen_order_[i] = static_cast<std::int64_t>(i);
   }
+  std::sort(gen_order_.begin(), gen_order_.end(),
+            [this](std::int64_t a, std::int64_t b) {
+              const double ta = messages_[static_cast<std::size_t>(a)].gen_time;
+              const double tb = messages_[static_cast<std::size_t>(b)].gen_time;
+              return ta != tb ? ta < tb : a < b;
+            });
 }
 
 void WormholeEngine::Request(std::int64_t msg, std::int32_t pos, double now) {
@@ -175,7 +206,8 @@ void WormholeEngine::TrySend(std::int64_t msg, std::int32_t pos, double now) {
   const std::int32_t ch = path_[p];
   const double t = flit_time_[static_cast<std::size_t>(ch)];
   busy_time_[static_cast<std::size_t>(ch)] += t;
-  Schedule(now + t, msg, pos, f);
+  PushLane(static_cast<std::size_t>(lane_of_[static_cast<std::size_t>(ch)]),
+           Event{now + t, seq_++, msg, pos, f});
   // Tail left the buffer between pos-1 and pos: with a unit buffer the
   // upstream channel is released exactly now (tail handoff rule).
   if (f == m.flits - 1 && pos > 0 && depth_after_[p - 1] == 1) {

@@ -16,8 +16,25 @@
 //     unit buffers; deeper buffers release on tail arrival, modelling the
 //     store-and-forward concentrate/dispatch buffers).
 //
-// Every flit transmission is one heap event, so the schedule is exact up to
-// the documented buffer-handoff approximation (DESIGN.md §4).
+// Every flit transmission is one event, so the schedule is exact up to one
+// approximation, the buffer handoff: a buffer slot counts as free the
+// instant its occupant *starts* onto the next channel (rule (c)), and a
+// unit-buffer channel is released the instant the tail starts downstream.
+// There is no credit round trip; a router that returns the slot only once
+// the flit has fully left would delay each handoff by one flit time.
+//
+// Event queue: delay lanes. Every flit event is scheduled at
+// `now + flit_time(ch)`, and there are few distinct flit times (one per
+// network class and bandwidth), so events are kept in one FIFO lane per
+// distinct flit time instead of one global priority queue. `now` never
+// decreases, so each lane is already sorted by (time, seq), where seq is
+// the global scheduling order. Popping the minimum (time, seq) over the
+// lane heads therefore reproduces the total order of a (time, seq) binary
+// heap exactly, at O(lanes) per event rather than O(log in-flight).
+// Generations are not queued at all: they are consumed in (gen_time,
+// message id) order from a cursor — the AddMessage order when that was
+// sorted, else an index sorted once at the start of Run() — and win ties
+// against flit events, as if they carried the smallest sequence numbers.
 //
 // Memory layout (the zero-allocation hot path). Message state lives in a
 // structure-of-arrays arena, not in per-message containers: one flat `path_`
@@ -25,20 +42,20 @@
 // per-position running counters (`sent_`, `arrived_`, `granted_`,
 // `store_forward_`, `depth_after_`) are parallel flat arrays indexed by
 // `MsgMeta::base + position`. AddMessage therefore appends to six flat
-// vectors (amortized O(1), no per-message heap blocks), channel waiter
+// vectors (amortized O(1), no per-message heap blocks), and channel waiter
 // queues are an intrusive singly-linked FIFO threaded through
-// `MsgMeta::next_waiter` (a message waits on at most one channel at a time),
-// and the event queue is a binary heap over a plain vector. After Reset()
-// every container keeps its capacity, so a warmed-up engine replays a
-// same-shaped workload with zero heap allocations — the counting-allocator
-// test (tests/sim_alloc_test.cc) enforces this.
+// `MsgMeta::next_waiter` (a message waits on at most one channel at a
+// time). Each lane is a power-of-two ring buffer. After Reset() every
+// container, lanes included, keeps its capacity, so a warmed-up engine
+// replays a same-shaped workload with zero heap allocations — the
+// counting-allocator test (tests/sim_alloc_test.cc) enforces this.
 //
 // Run() is templated on the delivery callback, so the per-delivery call is
 // direct (inlined at the call site) instead of going through std::function.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -129,22 +146,12 @@ class WormholeEngine {
   /// Same, under RunLimits (sim budgets and per-scenario deadlines).
   template <typename OnDeliver>
   void Run(OnDeliver&& on_deliver, const RunLimits& limits) {
-    // Generation events: when messages were added in gen_time order (the
-    // traffic generator's case), they are consumed from a sorted cursor so
-    // the heap only ever holds in-flight flit events — an order of
-    // magnitude smaller, which shrinks every heap operation. A generation
-    // tied with a flit arrival fires first, exactly like the former
-    // all-events-in-one-heap schedule where generations carried the
-    // smallest sequence numbers.
+    if (!gen_sorted_) SortGenerations();  // rare: out-of-order AddMessage
     std::size_t gen_cursor = 0;
-    if (!gen_sorted_) {
-      ScheduleGenerations();  // rare: out-of-order AddMessage calls
-      gen_cursor = messages_.size();
-    }
     std::int64_t events = 0;
     for (;;) {
       const bool have_gen = gen_cursor < messages_.size();
-      if (!have_gen && event_heap_.empty()) break;
+      if (!have_gen && in_flight_ == 0) break;
       if (limits.max_events > 0 && events >= limits.max_events) {
         throw SimBudgetError("simulation exceeded its event budget (" +
                              std::to_string(limits.max_events) + " events, " +
@@ -154,19 +161,21 @@ class WormholeEngine {
         limits.deadline.Check("simulation", Progress());
       }
       ++events;
-      if (have_gen &&
-          (event_heap_.empty() ||
-           messages_[gen_cursor].gen_time <= event_heap_.front().time)) {
-        // Generation: the header requests the injection channel. All flits
-        // of the message are available at the source from this moment on.
-        const auto msg = static_cast<std::int64_t>(gen_cursor++);
-        Request(msg, 0, messages_[static_cast<std::size_t>(msg)].gen_time);
-        continue;
+      const std::size_t lane = in_flight_ > 0 ? NextLane() : 0;
+      if (have_gen) {
+        const std::size_t g =
+            gen_sorted_ ? gen_cursor : gen_order_[gen_cursor];
+        const double gen_time = messages_[g].gen_time;
+        if (in_flight_ == 0 || gen_time <= heads_[lane].time) {
+          // Generation: the header requests the injection channel. All
+          // flits of the message are available at the source from now on.
+          ++gen_cursor;
+          Request(static_cast<std::int64_t>(g), 0, gen_time);
+          continue;
+        }
       }
-      const Event e = PopEvent();
-      if (e.pos < 0) {
-        Request(e.msg, 0, e.time);
-      } else if (OnArrive(e)) {
+      const Event e = PopLane(lane);
+      if (OnArrive(e)) {
         const MsgMeta& m = messages_[static_cast<std::size_t>(e.msg)];
         on_deliver(Delivery{e.msg, m.gen_time, e.time, m.user_tag});
       }
@@ -201,26 +210,63 @@ class WormholeEngine {
     std::int64_t waiter_tail = -1;
   };
 
+  /// One flit fully crossing the channel at path position `pos`.
   struct Event {
     double time;
-    std::uint64_t seq;
+    std::uint64_t seq;  // global scheduling order; breaks cross-lane ties
     std::int64_t msg;
-    std::int32_t pos;   // path position; -1 for generation events
-    std::int32_t flit;  // arriving flit; ignored for generation events
+    std::int32_t pos;
+    std::int32_t flit;
   };
 
-  /// Min-heap order on (time, seq) — identical to the former
-  /// priority_queue<Event, vector, greater> schedule.
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  /// FIFO of the events scheduled on channels of one flit time, as a ring
+  /// buffer whose capacity is zero or a power of two.
+  struct Lane {
+    std::vector<Event> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+  };
+
+  /// (time, seq) of a lane's front event; an empty lane holds kEmptyHead,
+  /// which every real event precedes.
+  struct LaneHead {
+    double time;
+    std::uint64_t seq;
+  };
+  static constexpr LaneHead kEmptyHead = {
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<std::uint64_t>::max()};
+
+  /// Lane holding the minimum (time, seq) event; requires in_flight_ > 0.
+  std::size_t NextLane() const {
+    std::size_t best = 0;
+    for (std::size_t l = 1; l < heads_.size(); ++l) {
+      const LaneHead& a = heads_[l];
+      const LaneHead& b = heads_[best];
+      if (a.time < b.time || (a.time == b.time && a.seq < b.seq)) best = l;
     }
-  };
+    return best;
+  }
 
-  Event PopEvent() {
-    std::pop_heap(event_heap_.begin(), event_heap_.end(), EventAfter{});
-    const Event e = event_heap_.back();
-    event_heap_.pop_back();
+  void PushLane(std::size_t lane, const Event& e) {
+    Lane& q = lanes_[lane];
+    if (q.size == q.ring.size()) GrowLane(q);
+    q.ring[(q.head + q.size) & (q.ring.size() - 1)] = e;
+    if (q.size++ == 0) heads_[lane] = LaneHead{e.time, e.seq};
+    ++in_flight_;
+  }
+
+  Event PopLane(std::size_t lane) {
+    Lane& q = lanes_[lane];
+    const Event e = q.ring[q.head];
+    q.head = (q.head + 1) & (q.ring.size() - 1);
+    --in_flight_;
+    if (--q.size == 0) {
+      heads_[lane] = kEmptyHead;
+    } else {
+      const Event& next = q.ring[q.head];
+      heads_[lane] = LaneHead{next.time, next.seq};
+    }
     return e;
   }
 
@@ -232,9 +278,11 @@ class WormholeEngine {
            std::to_string(messages_.size()) + " messages delivered";
   }
 
-  void Schedule(double time, std::int64_t msg, std::int32_t pos,
-                std::int32_t flit);
-  void ScheduleGenerations();
+  /// Groups channels into lanes by exact flit time.
+  void AssignLanes();
+  static void GrowLane(Lane& q);
+  /// Fills gen_order_ with message ids sorted by (gen_time, id).
+  void SortGenerations();
   void Request(std::int64_t msg, std::int32_t pos, double now);
   void ReleaseChannel(std::int32_t ch, double now);
   /// Attempts to start the next flit of `msg` on path position `pos`;
@@ -245,6 +293,8 @@ class WormholeEngine {
   bool OnArrive(const Event& e);
 
   std::vector<double> flit_time_;
+  std::vector<std::int32_t> lane_of_;  // channel -> lane
+  std::vector<double> lane_time_;      // lane -> its flit time
   std::vector<double> busy_time_;
   std::vector<ChannelState> channels_;
   std::vector<MsgMeta> messages_;
@@ -255,7 +305,12 @@ class WormholeEngine {
   std::vector<std::int32_t> arrived_;       // flits arrived per position
   std::vector<std::uint8_t> granted_;       // channel ownership per position
   std::vector<std::uint8_t> store_forward_; // request only after full arrival
-  std::vector<Event> event_heap_;
+  // lanes_ may hold more lanes than the current channel set uses (idle and
+  // empty), so ring capacity survives a Reset() onto another channel set.
+  std::vector<Lane> lanes_;
+  std::vector<LaneHead> heads_;  // one per lane in use
+  std::vector<std::int64_t> gen_order_;  // used only when !gen_sorted_
+  std::int64_t in_flight_ = 0;           // events queued over all lanes
   std::uint64_t seq_ = 0;
   std::int64_t delivered_ = 0;
   double end_time_ = 0;

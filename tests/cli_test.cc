@@ -547,6 +547,49 @@ TEST(Cli, NonPositiveThreadsIsUsageErrorAcrossCommands) {
   EXPECT_NE(batch.err.find("--threads must be >= 1"), std::string::npos);
 }
 
+TEST(Cli, PresetMessageFieldsParseStrictly) {
+  // Trailing garbage used to be dropped (32x -> 32), and a non-number died
+  // as a bare "stoi" with exit 1; both are usage errors naming the field.
+  const auto junk = RunCommand({"model", "preset:1120:32x:256z", "--rate",
+                                "1e-4"});
+  EXPECT_EQ(junk.code, 2) << junk.err;
+  EXPECT_NE(junk.err.find("M must be an integer >= 1, got '32x'"),
+            std::string::npos)
+      << junk.err;
+  const auto word = RunCommand({"model", "preset:1120:abc:256", "--rate",
+                                "1e-4"});
+  EXPECT_EQ(word.code, 2) << word.err;
+  EXPECT_NE(word.err.find("got 'abc'"), std::string::npos) << word.err;
+  EXPECT_EQ(word.err.find("stoi"), std::string::npos) << word.err;
+  for (const char* dm : {"256z", "nan", "0", ""}) {
+    const auto r = RunCommand({"model", std::string("preset:tiny:16:") + dm,
+                               "--rate", "1e-4"});
+    EXPECT_EQ(r.code, 2) << dm;
+    EXPECT_NE(r.err.find("dm must be a number > 0"), std::string::npos)
+        << dm << ": " << r.err;
+  }
+  const auto ok = RunCommand({"model", "preset:tiny:16:64", "--rate",
+                              "1e-4"});
+  EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
+TEST(Cli, NumericFlagsParseStrictly) {
+  // "1e-4junk" used to run as 1e-4.
+  const auto junk = RunCommand({"model", "preset:1120", "--rate",
+                                "1e-4junk"});
+  EXPECT_EQ(junk.code, 2) << junk.err;
+  EXPECT_NE(junk.err.find("--rate expects a number, got '1e-4junk'"),
+            std::string::npos)
+      << junk.err;
+  for (const char* points : {"3.x", "nan", "inf", "four"}) {
+    const auto r = RunCommand({"sweep", "preset:tiny:16:64", "--max-rate",
+                               "1e-3", "--points", points, "--no-sim"});
+    EXPECT_EQ(r.code, 2) << points;
+    EXPECT_NE(r.err.find("--points expects a number"), std::string::npos)
+        << points << ": " << r.err;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The batch service path.
 

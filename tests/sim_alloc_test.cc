@@ -39,7 +39,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace coc {
 namespace {
 
-/// Deterministic engine workload: `count` pipelined messages over 8 unit
+/// Deterministic engine workload: `count` pipelined messages over 8
 /// channels, added in gen-time order through the span-based AddMessage (no
 /// temporary vectors). Returns the delivery-time sum as a checksum.
 double LoadAndRun(WormholeEngine& engine, int count) {
@@ -79,6 +79,66 @@ TEST(ZeroAlloc, WarmedUpEngineDoesNotAllocate) {
 
   EXPECT_EQ(allocs, 0) << "steady-state injection path must not allocate";
   EXPECT_EQ(replay, checksum) << "Reset() must fully restore initial state";
+}
+
+TEST(ZeroAlloc, WarmedUpMultiLaneEngineDoesNotAllocate) {
+  // Four distinct flit times, so the event queue keeps several delay lanes
+  // busy at once; every lane must reuse its retained capacity.
+  const std::vector<double> times = {1.0, 0.5, 0.75, 1.25,
+                                     1.0, 0.5, 0.75, 1.25};
+  WormholeEngine engine(times);
+  const double checksum = LoadAndRun(engine, 500);
+
+  engine.Reset(times);
+  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  const double replay = LoadAndRun(engine, 500);
+  const long allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(allocs, 0) << "steady-state injection path must not allocate";
+  EXPECT_EQ(replay, checksum) << "Reset() must fully restore initial state";
+}
+
+/// The result fields a reused scratch must reproduce bit for bit.
+void ExpectSameResult(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.duration, b.duration);
+  EXPECT_EQ(a.latency.Mean(), b.latency.Mean());
+  EXPECT_EQ(a.latency.Variance(), b.latency.Variance());
+  EXPECT_EQ(a.delivery_times, b.delivery_times);
+  EXPECT_EQ(a.icn1_util.busy_time, b.icn1_util.busy_time);
+  EXPECT_EQ(a.ecn1_util.busy_time, b.ecn1_util.busy_time);
+  EXPECT_EQ(a.icn2_util.busy_time, b.icn2_util.busy_time);
+}
+
+TEST(ZeroAlloc, ScratchReusedAcrossSystemsStaysAllocationFree) {
+  // A batch worker carries one SimScratch from scenario to scenario, so the
+  // engine is Reset() onto different channel sets (here preset tiny, then
+  // preset:small:16:64, then each again). Once both shapes have been seen,
+  // a run allocates only its result's two vectors (per_cluster and the
+  // reserved delivery_times), and matches a fresh scratch bit for bit.
+  const auto tiny = MakeTinySystem(MessageFormat{32, 256});
+  const auto small = MakeSmallSystem(MessageFormat{16, 64});
+  const CocSystemSim tiny_sim(tiny);
+  const CocSystemSim small_sim(small);
+  SimConfig cfg;
+  cfg.lambda_g = 2e-4;
+  cfg.warmup_messages = 200;
+  cfg.measured_messages = 1000;
+  cfg.drain_messages = 200;
+  cfg.record_deliveries = true;
+
+  SimScratch scratch;
+  tiny_sim.Run(cfg, scratch);  // warm-up: both shapes once
+  small_sim.Run(cfg, scratch);
+
+  for (const CocSystemSim* sim : {&tiny_sim, &small_sim}) {
+    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    const SimResult reused = sim->Run(cfg, scratch);
+    const long allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(allocs, 2) << "only the result vectors may allocate";
+    EXPECT_GT(reused.delivered, 0);
+    ExpectSameResult(reused, sim->Run(cfg));
+  }
 }
 
 TEST(ZeroAlloc, SimRunAllocationsIndependentOfMessageCount) {

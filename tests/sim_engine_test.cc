@@ -1,7 +1,11 @@
 // Exact-schedule tests for the flit-level wormhole engine: hand-computed
-// pipelines, contention, FIFO fairness, release semantics, conservation and
-// determinism.
+// pipelines, contention, FIFO fairness, release semantics, conservation,
+// determinism and the tie order of simultaneous events.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -325,6 +329,158 @@ TEST(WormholeEngine, RejectsMalformedMessages) {
   EXPECT_THROW(e.AddMessage(0, {0}, {1}, WormholeEngine::kMaxFlits + 1, 0),
                std::invalid_argument);
   EXPECT_THROW(e.AddMessage(0, {5}, {1}, 4, 0), std::invalid_argument);
+}
+
+
+// --- Tie order --------------------------------------------------------------
+//
+// The engine processes events in (time, sequence) order: among events at the
+// same simulated time, generations come first (by gen time, then message
+// id), then flit events in the order they were scheduled. The preset flit
+// times almost never produce exact ties, so the goldens below use dyadic
+// flit times 0.25 * (1 + ch % 5) and gen times on a 0.25 grid: every sum is
+// exact in binary floating point and equal event times are the norm. A
+// wrong tie-break (say, the lowest flit time winning equal times) changes
+// grant order on contended channels and with it the delivery sequence.
+
+/// 64-bit FNV-1a over the delivery sequence: (message id, delivery-time
+/// bits) per delivery, in callback order.
+std::uint64_t DeliveryDigest(WormholeEngine& e) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  std::int64_t delivered = 0;
+  e.Run([&](const Delivery& d) {
+    mix(static_cast<std::uint64_t>(d.msg));
+    mix(std::bit_cast<std::uint64_t>(d.deliver_time));
+    ++delivered;
+  });
+  EXPECT_EQ(delivered, e.delivered_count());
+  return h;
+}
+
+struct TieMessage {
+  double gen_time;
+  std::vector<std::int32_t> path, depth, store_forward;
+  int flits;
+};
+
+/// `count` messages over 24 channels with gen times on a 0.25 grid (gaps of
+/// 0, 0.25, 0.5 or 0.75, so generations tie too). Paths ascend through the
+/// channel ids, which keeps the workload deadlock-free. `depth_mode` 0, 1
+/// or 2 gives every buffer that depth (0 = unbounded); 3 draws each from
+/// {0, 1, 2}. A position fed by an unbounded buffer is store-and-forward
+/// with probability 1/2.
+std::vector<TieMessage> TieWorkload(int count, int depth_mode) {
+  std::uint64_t state = 2024;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<TieMessage> out;
+  double gen = 0;
+  for (int i = 0; i < count; ++i) {
+    TieMessage m;
+    gen += 0.25 * static_cast<double>(next() % 4);
+    m.gen_time = gen;
+    m.flits = 1 + static_cast<int>(next() % 4);
+    for (auto c = static_cast<std::int32_t>(next() % 12); c < 24;
+         c += 1 + static_cast<std::int32_t>(next() % 5)) {
+      const auto pos = static_cast<std::int32_t>(m.path.size());
+      if (pos > 0 && m.depth.back() == 0 && next() % 2 == 0) {
+        m.store_forward.push_back(pos);
+      }
+      m.path.push_back(c);
+      m.depth.push_back(depth_mode < 3 ? depth_mode
+                                       : static_cast<std::int32_t>(next() % 3));
+      if (m.path.size() == 4) break;
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+/// Runs the tie workload on a fresh engine. `shuffled` adds the messages in
+/// a seeded permutation of gen-time order, which takes the engine's
+/// out-of-order generation path.
+std::uint64_t TieDigest(int depth_mode, bool shuffled) {
+  std::vector<double> times;
+  for (int ch = 0; ch < 24; ++ch) times.push_back(0.25 * (1 + ch % 5));
+  const auto msgs = TieWorkload(300, depth_mode);
+  std::vector<std::size_t> order(msgs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  if (shuffled) {
+    std::uint64_t state = 7;
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      std::swap(order[i], order[(state >> 33) % (i + 1)]);
+    }
+  }
+  WormholeEngine e(times);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const TieMessage& m = msgs[order[k]];
+    e.AddMessage(m.gen_time, m.path, m.depth, m.flits, order[k],
+                 m.store_forward);
+  }
+  return DeliveryDigest(e);
+}
+
+TEST(WormholeEngine, TieOrderGolden) {
+  // The golden's premise: simultaneous generations and store-and-forward
+  // positions are common in the workload.
+  const auto mixed = TieWorkload(300, 3);
+  int tied_gens = 0, sf = 0;
+  for (std::size_t i = 1; i < mixed.size(); ++i) {
+    tied_gens += mixed[i].gen_time == mixed[i - 1].gen_time;
+  }
+  for (const auto& m : mixed) sf += static_cast<int>(m.store_forward.size());
+  EXPECT_GT(tied_gens, 30);
+  EXPECT_GT(sf, 10);
+
+  // Recorded from the binary-heap engine, whose (time, seq) order defines
+  // the schedule; any event core must reproduce it exactly.
+  // Index: [depth_mode][shuffled].
+  const std::uint64_t kGolden[4][2] = {
+      {0x08fa3468dfdbb7a5ULL, 0xc3806cab05db8f20ULL},
+      {0x9fd97e76ddc2173aULL, 0xf2e7768168dd4349ULL},
+      {0x8bc7fc49b9537e40ULL, 0x4f254ffc0f8b3f35ULL},
+      {0x318e931bffcbd465ULL, 0xd2d2e98c629f430dULL},
+  };
+  for (int mode = 0; mode < 4; ++mode) {
+    for (int shuffled = 0; shuffled < 2; ++shuffled) {
+      const std::uint64_t got = TieDigest(mode, shuffled != 0);
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                    static_cast<unsigned long long>(got));
+      EXPECT_EQ(got, kGolden[mode][shuffled])
+          << "depth_mode=" << mode << " shuffled=" << shuffled
+          << " digest=" << hex;
+    }
+  }
+}
+
+TEST(WormholeEngine, ShuffledAddOrderMatchesSortedByGenThenId) {
+  // Out-of-order AddMessage must schedule generations by (gen time,
+  // message id): re-adding the same messages in that order gives the
+  // identical delivery sequence.
+  WormholeEngine a({1.0, 0.5, 0.75});
+  WormholeEngine b({1.0, 0.5, 0.75});
+  const double gens[] = {2.0, 0.0, 2.0, 1.0, 0.0};
+  for (int i = 0; i < 5; ++i) {
+    a.AddMessage(gens[i], {i % 3, 2}, {1, 1}, 2, i);
+  }
+  std::vector<int> ids = {0, 1, 2, 3, 4};
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](int x, int y) { return gens[x] < gens[y]; });
+  for (int i : ids) b.AddMessage(gens[i], {i % 3, 2}, {1, 1}, 2, i);
+  std::vector<std::pair<std::uint64_t, double>> da, db;
+  a.Run([&](const Delivery& d) { da.emplace_back(d.user_tag, d.deliver_time); });
+  b.Run([&](const Delivery& d) { db.emplace_back(d.user_tag, d.deliver_time); });
+  EXPECT_EQ(da, db);
 }
 
 }  // namespace

@@ -46,10 +46,11 @@
 //                      enough for shared-runner noise, tight enough to catch
 //                      a lost optimization)
 //
-// Exit code: 0 on success, 1 when a bench binary is missing or fails, 2 when
-// --check found a regression.
+// Exit code: 0 on success, 1 on a bad flag value or when a bench binary is
+// missing or fails, 2 when --check found a regression.
 #include <sys/wait.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,6 +61,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/parse_num.h"
 
 namespace {
 
@@ -348,15 +350,28 @@ int main(int argc, char** argv) {
     } else if (arg == "--out-dir") {
       out_dir = next();
     } else if (arg == "--min-time") {
-      min_time = std::strtod(next(), nullptr);
+      const char* text = next();
+      const auto v = coc::ParseFullDouble(text);
+      if (!v || !std::isfinite(*v) || *v <= 0) {
+        std::fprintf(stderr,
+                     "error: --min-time expects seconds > 0, got '%s'\n",
+                     text);
+        return 1;
+      }
+      min_time = *v;
     } else if (arg == "--check") {
       check = true;
     } else if (arg == "--check-threshold") {
-      check_threshold = std::strtod(next(), nullptr);
-      if (check_threshold <= 1.0) {
-        std::fprintf(stderr, "error: --check-threshold must be > 1\n");
+      const char* text = next();
+      const auto v = coc::ParseFullDouble(text);
+      if (!v || !std::isfinite(*v) || *v <= 1.0) {
+        std::fprintf(stderr,
+                     "error: --check-threshold expects a factor > 1, got "
+                     "'%s'\n",
+                     text);
         return 1;
       }
+      check_threshold = *v;
     } else {
       std::fprintf(stderr,
                    "usage: perf_report [--bench-dir DIR] [--out-dir DIR] "
