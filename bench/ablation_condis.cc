@@ -1,6 +1,6 @@
 // Ablation: the concentrator/dispatcher forwarding discipline — the one
 // point where the paper's model and its simulation methodology cannot both
-// be taken literally (DESIGN.md §3, EXPERIMENTS.md).
+// be taken literally (DESIGN.md §3.7).
 //
 // Grid: {model: Eq.37 ICN2-rate service | supply-limited service} x
 //       {sim: cut-through | store-and-forward} on the N=1120, M=32, Lm=256

@@ -90,13 +90,6 @@ Deadline ScenarioDeadline(const Scenario& s, int index,
   return Deadline();
 }
 
-/// Records a degradation on the status without clobbering earlier notes.
-void MarkDegraded(ReportStatus& status, const std::string& note) {
-  status.degraded = true;
-  if (!status.degraded_note.empty()) status.degraded_note += "; ";
-  status.degraded_note += note;
-}
-
 }  // namespace
 
 // The cache getters construct outside the lock so a cache miss (file I/O,
@@ -106,14 +99,10 @@ void MarkDegraded(ReportStatus& status, const std::string& note) {
 
 std::shared_ptr<Engine::SystemEntry> Engine::GetSystem(
     const Scenario& scenario) {
-  const std::string key = SystemKey(scenario);
+  std::string key = SystemKey(scenario);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = systems_.find(key);
-    if (it != systems_.end()) {
-      system_lru_.splice(system_lru_.begin(), system_lru_, it->second);
-      return it->second->entry;
-    }
+    if (const auto* hit = systems_.Find(key)) return *hit;
   }
   auto entry = std::make_shared<SystemEntry>(LoadExperiment(scenario.system));
   if (scenario.icn2_override) {
@@ -121,22 +110,10 @@ std::shared_ptr<Engine::SystemEntry> Engine::GetSystem(
         entry->experiment.system.WithIcn2Topology(*scenario.icn2_override);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = systems_.find(key);
-  if (it != systems_.end()) {
-    // A racing worker built the same system first; its insert wins.
-    system_lru_.splice(system_lru_.begin(), system_lru_, it->second);
-    return it->second->entry;
-  }
-  system_lru_.push_front(SystemNode{key, std::move(entry)});
-  systems_[key] = system_lru_.begin();
-  if (opts_.system_entries > 0) {
-    while (system_lru_.size() > opts_.system_entries) {
-      systems_.erase(system_lru_.back().key);
-      system_lru_.pop_back();
-      ++system_evictions_;
-    }
-  }
-  return system_lru_.front().entry;
+  // A racing worker built the same system first; its insert wins.
+  if (const auto* hit = systems_.Find(key)) return *hit;
+  system_evictions_ += systems_.Insert(std::move(key), entry);
+  return entry;
 }
 
 std::shared_ptr<const CocSystemSim> Engine::GetSim(
@@ -163,18 +140,10 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   std::shared_ptr<const CompiledModel> sibling;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = models_.find(key);
-    if (it != models_.end()) {
-      model_lru_.splice(model_lru_.begin(), model_lru_, it->second);
-      return it->second->entry;
-    }
-    const auto sib = rebind_sources_.find(family_key);
-    if (sib != rebind_sources_.end()) {
-      // Touch: a lookup hit moves the family to the LRU front so hot
-      // families survive a batch that also visits many one-off ones.
-      rebind_lru_.splice(rebind_lru_.begin(), rebind_lru_, sib->second);
-      sibling = sib->second->model;
-    }
+    if (const auto* hit = models_.Find(key)) return *hit;
+    // Touch: a lookup hit moves the family to the LRU front so hot
+    // families survive a batch that also visits many one-off ones.
+    if (const auto* source = rebind_sources_.Find(family_key)) sibling = *source;
   }
   // A miss with a compiled sibling on the same (system, options) family
   // rebinds from it — bit-identical to a cold compile, but the dedup
@@ -189,85 +158,36 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   auto mentry = std::make_shared<ModelEntry>(std::move(model));
   std::lock_guard<std::mutex> lock(mu_);
   if (sibling) ++model_rebinds_;
-  const auto sib = rebind_sources_.find(family_key);
-  if (sib != rebind_sources_.end()) {
-    // Refresh in place (a racing worker may have inserted first).
-    rebind_lru_.splice(rebind_lru_.begin(), rebind_lru_, sib->second);
-    sib->second->model = mentry->model;
-  } else if (opts_.rebind_sources > 0) {
-    rebind_lru_.push_front(RebindSource{family_key, mentry->model});
-    rebind_sources_[std::move(family_key)] = rebind_lru_.begin();
-    while (rebind_lru_.size() > opts_.rebind_sources) {
-      rebind_sources_.erase(rebind_lru_.back().family_key);
-      rebind_lru_.pop_back();
-      ++rebind_evictions_;
-    }
+  // Refreshes the family's source in place when a racing worker inserted
+  // it first.
+  if (opts_.rebind_sources > 0) {
+    rebind_evictions_ +=
+        rebind_sources_.Insert(std::move(family_key), mentry->model);
   }
-  const auto it = models_.find(key);
-  if (it != models_.end()) {
-    // A racing worker compiled the same model first; its insert wins.
-    model_lru_.splice(model_lru_.begin(), model_lru_, it->second);
-    return it->second->entry;
-  }
-  model_lru_.push_front(ModelNode{std::move(key), std::move(mentry)});
-  models_[model_lru_.front().key] = model_lru_.begin();
-  if (opts_.model_entries > 0) {
-    while (model_lru_.size() > opts_.model_entries) {
-      models_.erase(model_lru_.back().key);
-      model_lru_.pop_back();
-      ++model_evictions_;
-    }
-  }
-  return model_lru_.front().entry;
-}
-
-std::shared_ptr<const LatencyModel> Engine::GetReferenceModel(
-    const std::shared_ptr<ModelEntry>& entry) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (entry->reference) return entry->reference;
-  }
-  auto ref = std::make_shared<const LatencyModel>(entry->model->system(),
-                                                  entry->model->workload(),
-                                                  entry->model->options());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!entry->reference) entry->reference = std::move(ref);
-  return entry->reference;
+  // A racing worker compiled the same model first; its insert wins.
+  if (const auto* hit = models_.Find(key)) return *hit;
+  model_evictions_ += models_.Insert(std::move(key), mentry);
+  return mentry;
 }
 
 double Engine::GetSaturationRate(const std::shared_ptr<ModelEntry>& entry,
-                                 const Deadline& deadline, bool* degraded) {
+                                 const Deadline& deadline) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (entry->saturation_rate) {
-      if (degraded != nullptr && entry->saturation_degraded) *degraded = true;
-      return *entry->saturation_rate;
-    }
+    if (entry->saturation_rate) return *entry->saturation_rate;
   }
-  double rate = entry->model->SaturationRate(
+  const double rate = entry->model->SaturationRate(
       1.0, 1e-3, /*warm=*/nullptr, /*refined=*/nullptr,
       deadline.Enabled() ? &deadline : nullptr);
-  bool fell_back = false;
+  // +inf is a certified "never saturates"; NaN means the search lost its
+  // bracket.
   if (std::isnan(rate)) {
-    // +inf is a certified "never saturates"; NaN means the compiled search
-    // lost its bracket. Degrade to the reference model's search instead of
-    // failing the scenario.
-    rate = GetReferenceModel(entry)->SaturationRate(1.0);
-    fell_back = true;
-    if (std::isnan(rate)) {
-      throw ModelError(
-          "saturation search did not converge (compiled and reference "
-          "searches both returned NaN)");
-    }
+    throw ModelError("saturation search did not converge (returned NaN)");
   }
-  // Cache only a successful search: a deadline trip above threw before this
-  // point, so a faulted scenario cannot poison the shared entry.
+  // Cache only a successful search: a deadline trip or a NaN above threw
+  // before this point, so a faulted scenario cannot poison the shared entry.
   std::lock_guard<std::mutex> lock(mu_);
-  if (!entry->saturation_rate) {
-    entry->saturation_rate = rate;
-    entry->saturation_degraded = fell_back;
-  }
-  if (degraded != nullptr && entry->saturation_degraded) *degraded = true;
+  if (!entry->saturation_rate) entry->saturation_rate = rate;
   return *entry->saturation_rate;
 }
 
@@ -275,8 +195,8 @@ Engine::CacheStats Engine::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStats stats;
   stats.systems = systems_.size();
-  for (const SystemNode& node : system_lru_) {
-    if (node.entry->sim) ++stats.sims;
+  for (const auto& [key, entry] : systems_) {
+    if (entry->sim) ++stats.sims;
   }
   stats.models = models_.size();
   stats.model_rebinds = model_rebinds_;
@@ -317,24 +237,18 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
   report.workload = workload.Describe();
 
   const char* note = workload.ModelApproximationNote();
-  std::shared_ptr<ModelEntry> mentry;
   std::shared_ptr<const CompiledModel> model;
   double saturation_rate = 0;
   if (scenario.Has(Analysis::kModel) || scenario.Has(Analysis::kBottleneck) ||
       scenario.Has(Analysis::kSaturation)) {
     deadline.Check("model compilation");
-    mentry = GetModel(SystemKey(scenario), *entry, workload, scenario.model);
+    const auto mentry =
+        GetModel(SystemKey(scenario), *entry, workload, scenario.model);
     model = mentry->model;
     // One bisection serves every analysis that reports the saturation point,
     // and the result is cached on the model entry, so scenarios sharing a
     // model (batch sweeps over the rate dial) run the search exactly once.
-    bool sat_degraded = false;
-    saturation_rate = GetSaturationRate(mentry, deadline, &sat_degraded);
-    if (sat_degraded) {
-      MarkDegraded(report.status,
-                   "saturation search fell back to the reference "
-                   "LatencyModel (compiled search returned NaN)");
-    }
+    saturation_rate = GetSaturationRate(mentry, deadline);
   }
 
   if (scenario.Has(Analysis::kModel)) {
@@ -349,19 +263,10 @@ void Engine::EvaluateInto(const Scenario& scenario, int scenario_index,
       a.result.saturated = false;
     }
     if (!std::isfinite(a.result.mean_latency) && !a.result.saturated) {
-      // Non-finite without the saturated flag is a compiled-model
-      // inconsistency (+inf with the flag is legitimate saturation):
-      // degrade to the bit-identical reference implementation.
-      a.result = GetReferenceModel(mentry)->Evaluate(scenario.rate);
-      if (!std::isfinite(a.result.mean_latency) && !a.result.saturated) {
-        throw ModelError(
-            "model evaluation returned non-finite latency without "
-            "saturation (compiled and reference implementations agree)");
-      }
-      MarkDegraded(report.status,
-                   "model analysis fell back to the reference LatencyModel "
-                   "(compiled evaluation returned non-finite latency "
-                   "without saturation)");
+      // +inf with the saturated flag is legitimate saturation; non-finite
+      // without it is an unusable value.
+      throw ModelError(
+          "model evaluation returned non-finite latency without saturation");
     }
     a.saturation_rate = saturation_rate;
     if (note != nullptr) a.note = note;

@@ -103,10 +103,6 @@ Json StatusToJson(const ReportStatus& s) {
   j.Set("code", StatusCodeName(s.code));
   j.Set("ok", s.ok());
   if (!s.message.empty()) j.Set("message", s.message);
-  if (s.degraded) {
-    j.Set("degraded", true);
-    if (!s.degraded_note.empty()) j.Set("degraded_note", s.degraded_note);
-  }
   return j;
 }
 
@@ -198,6 +194,8 @@ std::string SweepCsv(const SweepAnalysisResult& a) {
 }
 
 std::string BatchCsv(const std::vector<Report>& reports) {
+  // "degraded" is retired (the Engine has a single model path); the column
+  // stays, always "0", so the CSV layout is stable.
   Table t({"scenario", "status", "degraded", "workload",
            "model_mean_latency_us", "saturation_rate", "binding",
            "sweep_points", "sim_mean_us", "sim_delivered"});
@@ -213,7 +211,7 @@ std::string BatchCsv(const std::vector<Report>& reports) {
       saturation = *r.saturation_rate;
     }
     t.AddRow({r.scenario, StatusCodeName(r.status.code),
-              r.status.degraded ? "1" : "0", r.workload,
+              "0", r.workload,
               r.model ? JsonNumber(r.model->result.mean_latency) : "",
               std::isnan(saturation) ? "" : JsonNumber(saturation),
               r.bottleneck ? r.bottleneck->report.binding : "",

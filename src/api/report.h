@@ -8,8 +8,8 @@
 // semantic change of an existing field; adding new keys is backward
 // compatible and does not bump. Consumers should ignore unknown keys.
 //
-// v2 (from v1): every report carries a "status" block (code/ok, plus
-// message/degraded detail when applicable), and non-finite doubles emit an
+// v2 (from v1): every report carries a "status" block (code/ok, plus a
+// message when not ok), and non-finite doubles emit an
 // explicit "<key>_nonfinite" sentinel next to the null (v1 emitted a bare
 // null, indistinguishable from a missing measurement).
 #pragma once
@@ -29,16 +29,11 @@ namespace coc {
 inline constexpr int kReportSchemaVersion = 2;
 
 /// Outcome of one scenario's evaluation. A batch report always carries one:
-/// code == kOk for a complete result (possibly degraded), anything else for
-/// a structured failure whose partial results are still in the report.
+/// code == kOk for a complete result, anything else for a structured
+/// failure whose partial results are still in the report.
 struct ReportStatus {
   StatusCode code = StatusCode::kOk;
   std::string message;  ///< the error's what(); empty when ok
-  /// True when a compiled-model failure fell back to the reference
-  /// LatencyModel for part of this report (the numbers are still valid;
-  /// degraded_note says which stage fell back and why).
-  bool degraded = false;
-  std::string degraded_note;
 
   bool ok() const { return code == StatusCode::kOk; }
 };

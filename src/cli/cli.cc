@@ -639,9 +639,6 @@ int CmdBatch(const std::vector<std::string>& args, std::ostream& out) {
         out << "status: " << StatusCodeName(reports[i].status.code) << ": "
             << reports[i].status.message << "\n";
       }
-      if (reports[i].status.degraded) {
-        out << "degraded: " << reports[i].status.degraded_note << "\n";
-      }
       RenderReportText(reports[i], out);
     }
   }

@@ -8,9 +8,8 @@
 // Sites (each indexed by the scenario's position in the batch):
 //   * parse      — the scenario fails before evaluation (ScenarioError);
 //   * model      — the compiled model's point evaluation is poisoned with a
-//                  non-finite latency, exercising the reference-model
-//                  degradation fallback (the report succeeds, flagged
-//                  degraded);
+//                  non-finite latency, so the scenario fails with a
+//                  ModelError;
 //   * sim_budget — the scenario's simulation budget is clamped to a few
 //                  events, forcing SimBudgetError;
 //   * deadline   — the scenario runs under Deadline::TripAfterChecks(0), so

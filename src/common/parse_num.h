@@ -6,6 +6,7 @@
 // partial consumption, out of range); callers attach their own diagnostics.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -15,6 +16,17 @@ inline std::optional<int> ParseFullInt(const std::string& token) {
   try {
     std::size_t pos = 0;
     const int v = std::stoi(token, &pos);
+    if (pos != token.size()) return std::nullopt;
+    return v;
+  } catch (...) {
+    return std::nullopt;
+  }
+}
+
+inline std::optional<std::int64_t> ParseFullInt64(const std::string& token) {
+  try {
+    std::size_t pos = 0;
+    const std::int64_t v = std::stoll(token, &pos);
     if (pos != token.size()) return std::nullopt;
     return v;
   } catch (...) {

@@ -26,6 +26,11 @@ std::vector<double> LinearRates(double max, int count) {
 
 std::vector<SweepPoint> RunSweep(const SystemConfig& sys,
                                  const SweepSpec& spec) {
+  return RunSweepParallel(sys, spec, 1);
+}
+
+std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
+                                         const SweepSpec& spec, int threads) {
   // One compiled structure for the whole grid; the batch evaluation is
   // bit-identical to pointwise LatencyModel::Evaluate per rate.
   const CompiledModel model(sys, spec.workload, spec.model_opts);
@@ -33,107 +38,77 @@ std::vector<SweepPoint> RunSweep(const SystemConfig& sys,
   std::optional<CocSystemSim> sim;
   if (spec.run_sim) sim.emplace(sys, spec.slot_policy);
 
-  std::vector<SweepPoint> points;
-  bool sim_alive = spec.run_sim;
-  SimScratch scratch;  // engine arena + buffers shared across sweep points
-  for (std::size_t k = 0; k < spec.rates.size(); ++k) {
-    spec.deadline.Check("sweep", std::to_string(k) + " of " +
-                                     std::to_string(spec.rates.size()) +
-                                     " points completed");
-    const double rate = spec.rates[k];
-    SweepPoint p;
-    p.lambda_g = rate;
-    const ModelResult& mr = model_results[k];
-    p.model_latency = mr.mean_latency;
-    p.model_saturated = mr.saturated;
-    if (sim_alive) {
-      SimConfig cfg = spec.sim_base;
-      cfg.lambda_g = rate;
-      cfg.workload = spec.workload;
-      const SimResult sr = sim->Run(cfg, scratch);
-      p.sim_latency = sr.latency.Mean();
-      p.sim_ci95 = sr.latency.HalfWidth95();
-      p.sim_intra = sr.intra_latency.Mean();
-      p.sim_inter = sr.inter_latency.Mean();
-      p.sim_icn2_max_util = sr.icn2_util.Max(sr.duration);
-      if (spec.sim_abort_latency > 0 &&
-          *p.sim_latency > spec.sim_abort_latency) {
-        sim_alive = false;  // saturated: skip the remaining sim points
-      }
-    }
-    points.push_back(p);
-  }
-  return points;
-}
-
-std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
-                                         const SweepSpec& spec, int threads) {
-  if (threads <= 1 || spec.rates.size() <= 1 || !spec.run_sim) {
-    return RunSweep(sys, spec);
-  }
-  const CompiledModel model(sys, spec.workload, spec.model_opts);
-  const std::vector<ModelResult> model_results = model.EvaluateMany(spec.rates);
-  const CocSystemSim sim(sys, spec.slot_policy);
-
   std::vector<SweepPoint> points(spec.rates.size());
-  for (std::size_t i = 0; i < spec.rates.size(); ++i) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
     points[i].lambda_g = spec.rates[i];
     points[i].model_latency = model_results[i].mean_latency;
     points[i].model_saturated = model_results[i].saturated;
   }
 
-  std::atomic<std::size_t> next{0};
-  // Best-effort cut-off: the lowest-index point observed saturated; points
-  // after it skip their simulation.
+  // The lowest-index point observed saturated; points after it skip their
+  // simulation. Exact inline; best-effort across threads (a later point may
+  // already be running), so the results past it are cleared at the end.
   std::atomic<std::size_t> abort_after{points.size()};
-  // A point's simulation may now throw (sim budgets, deadlines); capture per
+  const auto run_point = [&](std::size_t i, SimScratch& scratch) {
+    spec.deadline.Check("sweep", std::to_string(i) + " of " +
+                                     std::to_string(points.size()) +
+                                     " points completed");
+    if (!sim || i > abort_after.load()) return;
+    SimConfig cfg = spec.sim_base;
+    cfg.lambda_g = points[i].lambda_g;
+    cfg.workload = spec.workload;
+    const SimResult sr = sim->Run(cfg, scratch);
+    SweepPoint& p = points[i];
+    p.sim_latency = sr.latency.Mean();
+    p.sim_ci95 = sr.latency.HalfWidth95();
+    p.sim_intra = sr.intra_latency.Mean();
+    p.sim_inter = sr.inter_latency.Mean();
+    p.sim_icn2_max_util = sr.icn2_util.Max(sr.duration);
+    if (spec.sim_abort_latency > 0 && *p.sim_latency > spec.sim_abort_latency) {
+      std::size_t cur = abort_after.load();
+      while (i < cur && !abort_after.compare_exchange_weak(cur, i)) {
+      }
+    }
+  };
+
+  const int workers =
+      spec.run_sim ? std::min<int>(threads, static_cast<int>(points.size()))
+                   : 1;
+  if (workers <= 1) {
+    SimScratch scratch;  // engine arena + buffers shared across sweep points
+    for (std::size_t i = 0; i < points.size(); ++i) run_point(i, scratch);
+    return points;
+  }
+  // A point's simulation may throw (sim budgets, deadlines); capture per
   // point and rethrow the lowest-index error after the join, so the
   // surfaced failure does not depend on worker scheduling.
   std::vector<std::exception_ptr> errors(points.size());
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   auto worker = [&] {
     SimScratch scratch;  // per-thread engine arena, reused across points
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= points.size() || failed.load()) return;
-      if (i > abort_after.load()) continue;
       try {
-        spec.deadline.Check("sweep", "point " + std::to_string(i) + " of " +
-                                         std::to_string(points.size()));
-        SimConfig cfg = spec.sim_base;
-        cfg.lambda_g = points[i].lambda_g;
-        cfg.workload = spec.workload;
-        const SimResult sr = sim.Run(cfg, scratch);
-        points[i].sim_latency = sr.latency.Mean();
-        points[i].sim_ci95 = sr.latency.HalfWidth95();
-        points[i].sim_intra = sr.intra_latency.Mean();
-        points[i].sim_inter = sr.inter_latency.Mean();
-        points[i].sim_icn2_max_util = sr.icn2_util.Max(sr.duration);
+        run_point(i, scratch);
       } catch (...) {
         errors[i] = std::current_exception();
         failed.store(true);
         return;
       }
-      if (spec.sim_abort_latency > 0 &&
-          *points[i].sim_latency > spec.sim_abort_latency) {
-        std::size_t cur = abort_after.load();
-        while (i < cur && !abort_after.compare_exchange_weak(cur, i)) {
-        }
-      }
     }
   };
   std::vector<std::thread> pool;
-  const int n = std::min<int>(threads, static_cast<int>(points.size()));
-  pool.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) pool.emplace_back(worker);
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
   // Enforce the cut-off ordering: drop sim results after the first
-  // saturated point so the output matches the serial semantics.
-  const std::size_t cut = abort_after.load();
-  for (std::size_t i = cut + 1; i < points.size(); ++i) {
+  // saturated point so the output matches the inline semantics.
+  for (std::size_t i = abort_after.load() + 1; i < points.size(); ++i) {
     points[i].sim_latency.reset();
     points[i].sim_ci95 = points[i].sim_intra = points[i].sim_inter = 0;
     points[i].sim_icn2_max_util = 0;

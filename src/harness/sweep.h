@@ -58,10 +58,10 @@ std::vector<SweepPoint> RunSweep(const SystemConfig& sys, const SweepSpec& spec)
 
 /// Parallel variant: simulation points are independent (CocSystemSim::Run is
 /// const and self-contained), so they are distributed over `threads` worker
-/// threads. Results are bit-identical to RunSweep for the same spec, except
-/// that the sim_abort_latency cut-off is best-effort (a point may already be
-/// running when an earlier point saturates). threads <= 1 falls back to the
-/// serial path.
+/// threads. Results are bit-identical to RunSweep for the same spec (points
+/// past a sim_abort_latency cut-off may still run, but their results are
+/// dropped). threads <= 1, and a sweep without simulation, run inline on the
+/// calling thread, exactly as RunSweep does.
 std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
                                          const SweepSpec& spec, int threads);
 

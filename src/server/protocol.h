@@ -63,6 +63,7 @@ class RequestHandler {
   // "server" block of StatsJson).
   void CountConnection() { ++connections_; }
   void CountShed() { ++shed_; }
+  void CountProtocolError() { ++protocol_errors_; }  ///< e.g. an overlong line
 
   Engine& engine() { return engine_; }
   const ResultCache& cache() const { return cache_; }

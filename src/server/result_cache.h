@@ -22,13 +22,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "common/json.h"
+#include "common/lru_map.h"
 
 namespace coc {
 
@@ -36,7 +36,8 @@ class ResultCache {
  public:
   /// `capacity` is in entries; 0 disables caching entirely (every request
   /// computes) while single-flight deduplication keeps working.
-  explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
+  explicit ResultCache(std::size_t capacity)
+      : capacity_(capacity), lru_(capacity) {}
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -85,15 +86,9 @@ class ResultCache {
     std::exception_ptr error;
   };
 
-  struct Entry {
-    std::string key;
-    Json report;
-  };
-
   mutable std::mutex mu_;
   const std::size_t capacity_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::map<std::string, std::list<Entry>::iterator> index_;
+  LruMap<std::string, Json> lru_;  ///< empty when capacity_ == 0
   std::map<std::string, std::shared_ptr<InFlight>> inflight_;
   Stats stats_;
 };

@@ -20,6 +20,13 @@
 namespace coc {
 namespace {
 
+/// Longest request line a connection may send. A client that exceeds it
+/// gets one usage_error status line and the connection closes, so a peer
+/// that never sends a newline cannot grow a worker's buffer without bound.
+/// An evaluate line is a few hundred bytes; a batch line carries a whole
+/// scenario file, several thousand scenarios fit under the cap.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Writes the whole buffer, tolerating partial writes and EINTR. A peer
 /// that hung up (EPIPE/ECONNRESET) is not an error worth tearing the
 /// server for — the response is simply dropped. MSG_NOSIGNAL keeps a dead
@@ -195,18 +202,33 @@ void EvalServer::WorkerLoop(std::size_t slot) {
 
 void EvalServer::ServeConnection(int fd, std::size_t slot) {
   active_fds_[slot]->store(fd);
-  std::string buffer;
+  std::string buffer;  // unconsumed bytes: at most one partial line
   char chunk[4096];
   bool open = true;
   while (open) {
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or error: the client is done
+    // Bytes before `scan` are already known to hold no newline, so each
+    // byte is searched once however many recv calls a line spans.
+    std::size_t scan = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::string::size_type eol;
-    while ((eol = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, eol);
-      buffer.erase(0, eol + 1);
+    std::size_t begin = 0;
+    while (open) {
+      const std::size_t eol = buffer.find('\n', scan);
+      const std::size_t end = eol == std::string::npos ? buffer.size() : eol;
+      if (end - begin > kMaxRequestLineBytes) {
+        handler_.CountProtocolError();
+        WriteStatusLine(fd, StatusCode::kUsageError,
+                        "request line exceeds " +
+                            std::to_string(kMaxRequestLineBytes) +
+                            " bytes; closing the connection");
+        open = false;
+        break;
+      }
+      if (eol == std::string::npos) break;
+      const std::string line = buffer.substr(begin, eol - begin);
+      begin = scan = eol + 1;
       if (line.empty()) continue;
       bool shutdown_requested = false;
       const std::string response =
@@ -218,9 +240,9 @@ void EvalServer::ServeConnection(int fd, std::size_t slot) {
         // the response above was written; further lines belong to the next
         // server instance.
         open = false;
-        break;
       }
     }
+    buffer.erase(0, begin);
   }
   active_fds_[slot]->store(-1);
   close(fd);

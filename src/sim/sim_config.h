@@ -20,8 +20,8 @@ namespace coc {
 /// service M t_cs(ICN2) (= store-and-forward). The two differ measurably:
 /// cut-through reproduces the paper's 4-8% light-load accuracy claim but
 /// the ICN2 injection link inherits the slower ECN1 flit supply rate, while
-/// store-and-forward reproduces the model's saturation point but adds
-/// ~2 M t_cs of serialization at light load (see EXPERIMENTS.md).
+/// store-and-forward moves the saturation knee toward the model's but adds
+/// about one message serialization per C/D at light load (DESIGN.md §3.7).
 enum class CondisMode : std::uint8_t {
   kCutThrough,    ///< wormhole continues through the C/D (default)
   kStoreForward,  ///< the C/D accumulates the message before re-injecting

@@ -13,7 +13,7 @@
 //   * a routing oracle  — Route(src, dst) yielding the exact channel
 //     sequence the wormhole engine replays;
 //   * a concentrator tap — RouteToTap / RouteFromTap, the generalization of
-//     the spine-tapped C/D attachment (DESIGN in README): inter-cluster
+//     the spine-tapped C/D attachment (DESIGN.md §2): inter-cluster
 //     messages leave their ECN1 through the tap and re-enter the remote
 //     ECN1 from it.
 //

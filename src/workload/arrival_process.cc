@@ -21,17 +21,6 @@ namespace {
 /// (workload.cc static_asserts the three agree).
 constexpr int kTraceMaxFlits = 1 << 20;
 
-std::optional<std::int64_t> ParseFullInt64(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
-    if (pos != token.size()) return std::nullopt;
-    return v;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
 /// "trace file PATH line N: " — every content diagnostic leads with this.
 std::string TraceAt(const std::string& path, int line) {
   return "trace file " + path + " line " + std::to_string(line) + ": ";

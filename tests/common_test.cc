@@ -1,10 +1,15 @@
 // Unit tests for the common substrate: RNG determinism and distribution
 // sanity, streaming statistics, table/plot rendering.
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/ascii_plot.h"
+#include "common/lru_map.h"
+#include "common/parse_num.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -179,6 +184,64 @@ TEST(AsciiPlot, RendersFinitePointsOnly) {
 
 TEST(AsciiPlot, EmptyInput) {
   EXPECT_EQ(RenderAsciiPlot({}, 40, 10), "(no finite points)\n");
+}
+
+/// Keys of `m` from most to least recent.
+std::vector<int> Order(const LruMap<int, std::string>& m) {
+  std::vector<int> keys;
+  for (const auto& [key, value] : m) keys.push_back(key);
+  return keys;
+}
+
+TEST(LruMap, FindTouchesOnHitOnly) {
+  LruMap<int, std::string> m(3);
+  m.Insert(1, "a");
+  m.Insert(2, "b");
+  m.Insert(3, "c");
+  EXPECT_EQ(Order(m), (std::vector<int>{3, 2, 1}));
+  ASSERT_NE(m.Find(1), nullptr);
+  EXPECT_EQ(*m.Find(1), "a");
+  EXPECT_EQ(Order(m), (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(m.Find(7), nullptr);  // a miss leaves the order alone
+  EXPECT_EQ(Order(m), (std::vector<int>{1, 3, 2}));
+  // Re-inserting a resident key replaces its value and touches it.
+  EXPECT_EQ(m.Insert(2, "B"), 0u);
+  EXPECT_EQ(Order(m), (std::vector<int>{2, 1, 3}));
+  EXPECT_EQ(*m.Find(2), "B");
+  EXPECT_EQ(m.size(), 3u);
+}
+
+TEST(LruMap, InsertPastCapacityEvictsFromTheBackAndCounts) {
+  LruMap<int, std::string> m(2);
+  EXPECT_EQ(m.Insert(1, "a"), 0u);
+  EXPECT_EQ(m.Insert(2, "b"), 0u);
+  m.Find(1);  // 2 is now the least recent
+  EXPECT_EQ(m.Insert(3, "c"), 1u);
+  EXPECT_EQ(Order(m), (std::vector<int>{3, 1}));
+  EXPECT_EQ(m.Find(2), nullptr);
+  EXPECT_EQ(m.Insert(4, "d"), 1u);
+  EXPECT_EQ(Order(m), (std::vector<int>{4, 3}));
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(LruMap, CapacityZeroIsUnbounded) {
+  LruMap<int, std::string> m(0);
+  for (int k = 0; k < 1000; ++k) EXPECT_EQ(m.Insert(k, "v"), 0u);
+  EXPECT_EQ(m.size(), 1000u);
+  ASSERT_NE(m.Find(0), nullptr);
+  EXPECT_EQ(Order(m).front(), 0);
+}
+
+TEST(ParseNum, Int64ConsumesTheWholeToken) {
+  EXPECT_EQ(ParseFullInt64("42"), 42);
+  EXPECT_EQ(ParseFullInt64("-7"), -7);
+  EXPECT_EQ(ParseFullInt64("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  // Trailing junk, overflow and empty input all fail.
+  for (const char* bad : {"12x", "1.5", "3 ", "0x10", "9223372036854775808",
+                          "-9223372036854775809", "", "x", "-"}) {
+    EXPECT_EQ(ParseFullInt64(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Proves the batch fault-isolation contract with the deterministic
 // FaultInjector seam: a faulted batch still returns all N entries, exactly
-// the targeted entry carries a structured error (or a degraded-but-ok
-// record for the model site), the other N-1 reports are bit-identical to
-// an un-faulted run for any thread count, and injected failures reproduce
-// byte-for-byte because every fault is deterministic (no wall clock, no
-// randomness).
+// the targeted entry carries a structured error, the other N-1 reports are
+// bit-identical to an un-faulted run for any thread count, and injected
+// failures reproduce byte-for-byte because every fault is deterministic (no
+// wall clock, no randomness).
 #include <cmath>
 #include <string>
 #include <vector>
@@ -149,29 +148,26 @@ TEST(FaultInjection, SimBudgetFaultKeepsTheCompletedModelBlock) {
       << faulted.status.message;
 }
 
-TEST(FaultInjection, ModelFaultDegradesToReferenceNotToFailure) {
-  // The model site poisons the compiled evaluation with NaN; the engine
-  // falls back to the reference LatencyModel, which computes the same
-  // numbers, so the report succeeds — same analysis payload, degraded flag.
+TEST(FaultInjection, ModelFaultBecomesAModelErrorRecord) {
+  // The model site poisons the compiled evaluation with NaN. There is no
+  // second model to fall back to: the scenario fails with a structured
+  // model_error, and the analyses after the model block never run.
   const std::vector<std::string> baseline = DumpReports(RunBatch("", 1));
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
     const std::vector<Report> reports = RunBatch("model:1", threads);
     ASSERT_EQ(reports.size(), 4u);
-    const Report& degraded = reports[kFaultIndex];
-    EXPECT_TRUE(degraded.status.ok());
-    EXPECT_TRUE(degraded.status.degraded);
-    EXPECT_NE(degraded.status.degraded_note.find("reference LatencyModel"),
+    const Report& faulted = reports[kFaultIndex];
+    EXPECT_EQ(faulted.status.code, StatusCode::kModelError)
+        << StatusCodeName(faulted.status.code);
+    EXPECT_NE(faulted.status.message.find("non-finite latency"),
               std::string::npos)
-        << degraded.status.degraded_note;
-    // The analysis payload matches the clean run bit-for-bit; only the
-    // status block differs.
-    const Json clean = Json::Parse(baseline[kFaultIndex]);
-    const Json j = degraded.ToJson();
-    ASSERT_NE(j.Find("model"), nullptr);
-    EXPECT_EQ(j.Find("model")->Dump(), clean.Find("model")->Dump());
-    ASSERT_NE(j.Find("sim"), nullptr);
-    EXPECT_EQ(j.Find("sim")->Dump(), clean.Find("sim")->Dump());
+        << faulted.status.message;
+    EXPECT_FALSE(faulted.model.has_value());
+    EXPECT_FALSE(faulted.sim.has_value());
+    const Json j = faulted.ToJson();
+    EXPECT_EQ(j.Find("status")->Find("code")->AsString(), "model_error");
+    EXPECT_EQ(j.Find("status")->Find("degraded"), nullptr);
     // Neighbors are untouched.
     const std::vector<std::string> dumps = DumpReports(reports);
     for (int i = 0; i < 4; ++i) {

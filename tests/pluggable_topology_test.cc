@@ -377,6 +377,23 @@ TEST(TopologySpec, RoundTripsThroughToString) {
   }
 }
 
+TEST(TopologySpec, CountDiagnosticsNameTheToken) {
+  for (const char* text : {"crossbar:16x", "crossbar:99999999999999999999",
+                           "tree:m=8,n=", "tree:m=8k"}) {
+    try {
+      ParseTopologySpec(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(std::string("topology spec '") + text + "': '", 0),
+                0u)
+          << what;
+      EXPECT_NE(what.find("' is not a positive integer"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(TopologySpec, RejectsMalformedInput) {
   EXPECT_THROW(ParseTopologySpec("ring:8"), std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("mesh"), std::invalid_argument);

@@ -377,6 +377,8 @@ class Client {
     fd_ = -1;
   }
 
+  int fd() const { return fd_; }
+
  private:
   int fd_ = -1;
 };
@@ -541,6 +543,39 @@ TEST(EvalServer, ShutdownOpDrainsTheServer) {
   const Json ack = Json::Parse(client.ReadLine());
   EXPECT_TRUE(ack.Find("status")->Find("ok")->AsBool());
   EXPECT_EQ(ack.Find("status")->Find("message")->AsString(), "draining");
+  EXPECT_EQ(server.Wait(), 0);
+}
+
+TEST(EvalServer, OverlongLineGetsUsageErrorAndTheServerKeepsServing) {
+  ServerOptions opts;
+  opts.threads = 2;
+  EvalServer server(std::move(opts));
+  server.Start();
+  {
+    // 2 MiB with no newline. The server answers once it has read past its
+    // 1 MiB cap and closes, so the tail of this send may be refused.
+    Client client(server.port());
+    const std::string blob(std::size_t{2} << 20, 'x');
+    std::size_t off = 0;
+    while (off < blob.size()) {
+      const ssize_t n = send(client.fd(), blob.data() + off, blob.size() - off,
+                             MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    const Json reply = Json::Parse(client.ReadLine());
+    const Json* status = reply.Find("status");
+    ASSERT_NE(status, nullptr);
+    EXPECT_EQ(status->Find("code")->AsString(), "usage_error");
+    EXPECT_NE(status->Find("message")->AsString().find("request line exceeds"),
+              std::string::npos);
+  }
+  Client fresh(server.port());
+  fresh.SendAndFinish("{\"op\":\"stats\"}\n");
+  const Json stats = Json::Parse(fresh.ReadLine());
+  ASSERT_NE(stats.Find("server"), nullptr);
+  EXPECT_EQ(stats.Find("server")->Find("protocol_errors")->AsInt(), 1);
+  server.Stop();
   EXPECT_EQ(server.Wait(), 0);
 }
 
