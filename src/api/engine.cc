@@ -160,10 +160,8 @@ std::shared_ptr<Engine::ModelEntry> Engine::GetModel(
   if (sibling) ++model_rebinds_;
   // Refreshes the family's source in place when a racing worker inserted
   // it first.
-  if (opts_.rebind_sources > 0) {
-    rebind_evictions_ +=
-        rebind_sources_.Insert(std::move(family_key), mentry->model);
-  }
+  rebind_evictions_ +=
+      rebind_sources_.Insert(std::move(family_key), mentry->model);
   // A racing worker compiled the same model first; its insert wins.
   if (const auto* hit = models_.Find(key)) return *hit;
   model_evictions_ += models_.Insert(std::move(key), mentry);

@@ -68,10 +68,10 @@ class Engine {
     std::size_t system_entries = 0;
     /// Max (system, workload, options) compiled-model entries; 0 = unbounded.
     std::size_t model_entries = 0;
-    /// Max rebind-source families (was a hardcoded 16 before it was an
-    /// option); 0 disables the table, forcing cold compiles on every miss.
-    std::size_t rebind_sources = 16;
   };
+
+  /// Max rebind-source families (see rebind_sources_).
+  static constexpr std::size_t kRebindSourceCap = 16;
 
   Engine() = default;
   explicit Engine(const Options& opts) : opts_(opts) {}
@@ -177,14 +177,12 @@ class Engine {
   /// cold. Values are also held by models_, so this adds structure sharing,
   /// not lifetime — and because the table keeps its own reference, a family
   /// evicted from models_ can still rebind warm while its rebind source
-  /// survives. Bounded by Options::rebind_sources in LRU order (a batch
-  /// cycling through many distinct (system, options) families would
-  /// otherwise pin one model per family forever); evicted families fall
-  /// back to a cold compile on their next miss and count in
-  /// CacheStats::rebind_evictions. Options::rebind_sources == 0 leaves the
-  /// table empty.
+  /// survives. Bounded by kRebindSourceCap in LRU order (a batch cycling
+  /// through many distinct (system, options) families would otherwise pin
+  /// one model per family forever); evicted families fall back to a cold
+  /// compile on their next miss and count in CacheStats::rebind_evictions.
   LruMap<std::string, std::shared_ptr<const CompiledModel>> rebind_sources_{
-      opts_.rebind_sources};
+      kRebindSourceCap};
   std::size_t model_rebinds_ = 0;     ///< guarded by mu_
   std::size_t rebind_evictions_ = 0;  ///< guarded by mu_
   std::size_t model_evictions_ = 0;   ///< guarded by mu_

@@ -22,7 +22,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "harness/sweep.h"
-#include "model/latency_model.h"
+#include "model/model_result.h"
 
 namespace coc {
 
@@ -38,7 +38,7 @@ struct ReportStatus {
   bool ok() const { return code == StatusCode::kOk; }
 };
 
-/// LatencyModel::Evaluate at one operating point.
+/// CompiledModel::Evaluate at one operating point.
 struct ModelAnalysisResult {
   double rate = 0;
   ModelResult result;
@@ -46,7 +46,7 @@ struct ModelAnalysisResult {
   std::string note;            ///< ModelApproximationNote; empty if none
 };
 
-/// LatencyModel::Bottleneck at one operating point.
+/// CompiledModel::Bottleneck at one operating point.
 struct BottleneckAnalysisResult {
   double rate = 0;
   BottleneckReport report;

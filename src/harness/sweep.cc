@@ -32,7 +32,7 @@ std::vector<SweepPoint> RunSweep(const SystemConfig& sys,
 std::vector<SweepPoint> RunSweepParallel(const SystemConfig& sys,
                                          const SweepSpec& spec, int threads) {
   // One compiled structure for the whole grid; the batch evaluation is
-  // bit-identical to pointwise LatencyModel::Evaluate per rate.
+  // bit-identical to pointwise CompiledModel::Evaluate per rate.
   const CompiledModel model(sys, spec.workload, spec.model_opts);
   const std::vector<ModelResult> model_results = model.EvaluateMany(spec.rates);
   std::optional<CocSystemSim> sim;

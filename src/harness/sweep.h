@@ -10,7 +10,6 @@
 #include "common/deadline.h"
 #include "common/stats.h"
 #include "model/compiled_model.h"
-#include "model/latency_model.h"
 #include "sim/coc_system_sim.h"
 #include "sim/sim_config.h"
 #include "system/system_config.h"

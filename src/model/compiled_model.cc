@@ -1,8 +1,8 @@
 // CompiledModel construction and evaluation.
 //
 // Bit-identity discipline: every lambda-dependent expression below must
-// reproduce LatencyModel's operation order and associativity exactly (IEEE
-// doubles are not associative). Precomputed constants are only ever the
+// reproduce the reference model's operation order and associativity exactly
+// (IEEE doubles are not associative). Precomputed constants are only ever the
 // value of the *identical* subexpression the reference path computes — e.g.
 // x_cs = M * t_cs, eta_div = ChannelsPerNode() * N_i — never a reassociated
 // form. The suffix-sharing chains work because StageRecursionT0 carries a
@@ -47,6 +47,27 @@ bool BitsEqual(double a, double b) {
 }
 
 }  // namespace
+
+LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys) {
+  const Topology& topo = sys.icn2_topology();
+  if (sys.icn2_exact_fit()) {
+    return topo.Links();
+  }
+  const auto c = static_cast<std::int64_t>(sys.num_clusters());
+  std::vector<double> weights(
+      static_cast<std::size_t>(topo.Links().max_links()) + 1, 0.0);
+  std::vector<std::int64_t> route;  // reused: RouteInto appends, never shrinks
+  for (std::int64_t src = 0; src < c; ++src) {
+    for (std::int64_t dst = 0; dst < c; ++dst) {
+      if (src == dst) continue;
+      route.clear();
+      topo.RouteInto(src, dst, /*entropy=*/0, route);
+      weights[route.size()] += 1.0;
+    }
+  }
+  if (c < 2) weights[2] = 1.0;  // degenerate single-cluster system
+  return LinkDistribution(weights);
+}
 
 CompiledModel::CompiledModel(const SystemConfig& sys, ModelOptions opts)
     : sys_(sys), opts_(opts) {

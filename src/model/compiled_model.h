@@ -1,11 +1,13 @@
-// Compiled form of the analytical latency model: the structure / evaluation
-// split the paper's "fixed algebraic evaluation per operating point" invites.
+// The analytical latency model (paper Eqs. 1-39) in compiled form: the
+// structure / evaluation split the paper's "fixed algebraic evaluation per
+// operating point" invites.
 //
-// LatencyModel re-derives every rate-invariant quantity — topology censuses,
-// destination distributions, per-pair Eq. 20-39 constants, message-length
-// moments — at every rate point, and evaluates the (r, v, d_l) journey
-// recursion once per combination per ordered cluster pair. CompiledModel
-// does all of that once, at construction:
+// Written the way the paper states them, the equations re-derive every
+// rate-invariant quantity — topology censuses, destination distributions,
+// per-pair Eq. 20-39 constants, message-length moments — at every rate
+// point, and evaluate the (r, v, d_l) journey recursion once per
+// combination per ordered cluster pair. CompiledModel does all of that
+// once, at construction:
 //
 //   * Per-cluster and per-pair constants are flattened into plain arrays
 //     (the SoA layout the simulator's arena uses), so Evaluate(lambda_g) is
@@ -20,9 +22,10 @@
 //     pass, instead of re-running the recursion per combination.
 //
 // Every shortcut preserves IEEE operation order, so all outputs are
-// bit-identical to LatencyModel's (tests/compiled_model_test.cc pins this
-// across topology families and workload patterns); LatencyModel remains as
-// the directly-equation-shaped reference implementation.
+// bit-identical to the equation-shaped reference implementation, the test
+// oracle kept in tests/reference/model/ (tests/compiled_model_test.cc pins
+// this across topology families and workload patterns). This is the one
+// model class the library ships.
 //
 // The same split extends along the workload axis: Rebind(next) compiles a
 // model for an adjacent workload by diffing the rate-invariant constant
@@ -41,16 +44,24 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "model/latency_model.h"
 #include "model/model_options.h"
+#include "model/model_result.h"
 #include "model/saturation_search.h"
 #include "system/system_config.h"
+#include "topology/link_distribution.h"
 #include "workload/workload.h"
 
 namespace coc {
 
+/// ICN2 journey distribution: the topology's closed form when the
+/// concentrators fill its node slots exactly; otherwise the exact journey
+/// census of the occupied slots (averaged over sources), which degenerates
+/// to the closed form at full occupancy. The reference model calls it too,
+/// so both see one census.
+LinkDistribution MakeIcn2LinkDistribution(const SystemConfig& sys);
+
 /// Immutable compiled model for one (system, workload, options) triple.
-/// Construction costs roughly one LatencyModel::Evaluate; each evaluation
+/// Construction costs roughly one reference evaluation; each evaluation
 /// afterwards touches only the flattened class arrays. All methods are
 /// const and thread-safe.
 class CompiledModel {
@@ -64,7 +75,10 @@ class CompiledModel {
   const Workload& workload() const { return workload_; }
   const ModelOptions& options() const { return opts_; }
 
-  /// Bit-identical to LatencyModel::Evaluate on the same triple.
+  /// Mean message latency and per-cluster decomposition at per-node
+  /// generation rate lambda_g (messages per microsecond per node; cluster i
+  /// generates at workload.RateScale(i) * lambda_g). Saturated points report
+  /// +infinity.
   ModelResult Evaluate(double lambda_g) const;
 
   /// Batch entry point: evaluates a whole sweep grid in one pass, reusing
@@ -74,11 +88,15 @@ class CompiledModel {
                     std::vector<ModelResult>& out) const;
   std::vector<ModelResult> EvaluateMany(std::span<const double> rates) const;
 
-  /// Bit-identical to LatencyModel::Bottleneck.
+  /// Utilization of the system's queueing resources at one operating point
+  /// and which of them binds (reaches rho = 1 first as lambda_g grows).
   BottleneckReport Bottleneck(double lambda_g) const;
 
-  /// Bit-identical to LatencyModel::SaturationRate, with the shared
-  /// search's warm-start seam exposed: `warm` (optional) must hold
+  /// Largest rate (within relative tolerance) at which the model is still
+  /// finite, found by the shared bisection of saturation_search.h over
+  /// [0, upper_bound], expanding the bracket when the model is still finite
+  /// there; +infinity if it never saturates. The search's warm-start seam
+  /// is exposed: `warm` (optional) must hold
   /// certified facts about THIS model — e.g. the `refined` bracket a
   /// previous call returned — and lets the search skip every probe the
   /// bracket already answers without changing the result. `deadline`
@@ -247,7 +265,7 @@ class CompiledModel {
   std::vector<int> pair_class_of_;   ///< i * C + j -> pair class (-1 on diag)
   std::vector<double> u_;            ///< U^(i) per cluster
   std::vector<double> weight_;       ///< Eq. 3 weight N_i s_i / sum N_c s_c
-  std::vector<double> dest_prob_;    ///< i * C + j -> InterDestProbability
+  std::vector<double> dest_prob_;    ///< i * C + j -> InterDestProbabilities
   HotConstants hot_;
   std::vector<double> hot_s_;   ///< per-cluster rate scales (remote-rate sum)
   std::vector<double> hot_n_;   ///< per-cluster node counts as doubles

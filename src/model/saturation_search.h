@@ -1,5 +1,6 @@
 // Shared saturation-point search (bisection with certified-classification
-// shortcuts) used by both LatencyModel and CompiledModel.
+// shortcuts) used by CompiledModel and by the reference model the tests pin
+// it against.
 //
 // The search brackets the saturation rate lambda* — the largest rate at
 // which the model is still finite — by bisection, exactly as the seed

@@ -35,14 +35,16 @@ int ToSmallCount(const std::string& text, const std::string& token) {
 }
 
 /// Parses "k1=v1,k2=v2" into a map; every value must be a positive integer.
+/// An empty pair (a trailing or doubled comma) is an error.
 std::map<std::string, std::int64_t> KeyValues(const std::string& text,
                                               const std::string& params) {
   std::map<std::string, std::int64_t> out;
   std::size_t start = 0;
-  while (start < params.size()) {
+  while (start <= params.size()) {
     auto comma = params.find(',', start);
     if (comma == std::string::npos) comma = params.size();
     const std::string pair = params.substr(start, comma - start);
+    if (pair.empty()) Fail(text, "empty parameter (stray comma)");
     const auto eq = pair.find('=');
     if (eq == std::string::npos) Fail(text, "expected key=value: " + pair);
     out[pair.substr(0, eq)] = ToCount(text, pair.substr(eq + 1));
@@ -78,6 +80,11 @@ TopologySpec ParseTopologySpec(const std::string& text) {
   const std::string head = text.substr(0, colon);
   const std::string params =
       colon == std::string::npos ? "" : text.substr(colon + 1);
+  // A colon promises parameters; "crossbar:" must not read as the
+  // auto-sized default the bare family name means.
+  if (colon != std::string::npos && params.empty()) {
+    Fail(text, "empty parameter list after ':'");
+  }
 
   TopologySpec spec;
   if (head == "tree") {

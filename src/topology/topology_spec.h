@@ -109,7 +109,9 @@ struct TopologySpec {
 };
 
 /// Parses the text syntax above. Throws std::invalid_argument with a
-/// descriptive message on malformed input.
+/// descriptive message naming the spec on malformed input — including a
+/// colon with nothing after it ("crossbar:"), an empty token from a
+/// trailing or doubled comma, and a number with a leading space or '+'.
 TopologySpec ParseTopologySpec(const std::string& text);
 
 /// Builds the immutable topology for a *fully resolved* spec (no zero

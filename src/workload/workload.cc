@@ -292,30 +292,6 @@ double Workload::EffectiveU(const SystemConfig& sys, int i) const {
   return sys.OutgoingProbability(i);
 }
 
-double Workload::InterDestProbability(const SystemConfig& sys, int i,
-                                      int j) const {
-  if (i == j || sys.num_clusters() < 2) return 0.0;
-  const double n = static_cast<double>(sys.TotalNodes());
-  const double ni = static_cast<double>(sys.NodesInCluster(i));
-  const double nj = static_cast<double>(sys.NodesInCluster(j));
-  if (!DestinationSkewed()) return nj / (n - ni);
-  // Hotspot: unnormalized mass per destination cluster, then normalize over
-  // the inter-cluster destinations of cluster i.
-  const int h = sys.ClusterOfNode(hotspot_node);
-  const double f = hotspot_fraction;
-  double total = 0;
-  double target = 0;
-  for (int c = 0; c < sys.num_clusters(); ++c) {
-    if (c == i) continue;
-    const double nc = static_cast<double>(sys.NodesInCluster(c));
-    double q = (1.0 - f) * nc / (n - 1.0);
-    if (c == h && i != h) q += f;
-    total += q;
-    if (c == j) target = q;
-  }
-  return total > 0 ? target / total : 0.0;
-}
-
 std::vector<double> Workload::InterDestProbabilities(
     const SystemConfig& sys) const {
   const int c = sys.num_clusters();
@@ -333,9 +309,9 @@ std::vector<double> Workload::InterDestProbabilities(
     }
     return out;
   }
-  // Hotspot: each row's unnormalized masses and their total are the same
-  // terms, in the same destination order, as InterDestProbability's
-  // per-pair loop — computed once per row so the whole matrix is O(C^2).
+  // Hotspot: each row's unnormalized masses and their total, computed once
+  // per row so the whole matrix is O(C^2). The reference model's per-pair
+  // form sums the same terms in the same destination order.
   const int h = sys.ClusterOfNode(hotspot_node);
   const double f = hotspot_fraction;
   std::vector<double> row(static_cast<std::size_t>(c), 0.0);
@@ -349,7 +325,7 @@ std::vector<double> Workload::InterDestProbabilities(
       row[static_cast<std::size_t>(j)] = q;
       total += q;
     }
-    if (total <= 0) continue;  // row stays all-zero, as the per-pair form
+    if (total <= 0) continue;  // row stays all-zero
     for (int j = 0; j < c; ++j) {
       if (j == i) continue;
       out[static_cast<std::size_t>(i * c + j)] =
@@ -357,24 +333,6 @@ std::vector<double> Workload::InterDestProbabilities(
     }
   }
   return out;
-}
-
-double Workload::EcnLoadFactor(const SystemConfig& sys, int c) const {
-  // Ordered so the default workload reproduces Eq. (22)'s N_c U_c term bit
-  // for bit (the trailing * 1.0 is exact).
-  const double out = static_cast<double>(sys.NodesInCluster(c)) *
-                     EffectiveU(sys, c) * RateScale(c);
-  if (!DestinationSkewed()) return out;
-  // Hotspot overlay: an ECN1 carries access journeys (outgoing) and egress
-  // journeys (incoming); the hot cluster's incoming side dwarfs its outgoing
-  // one, so use the symmetrized actual load instead of the Eq. (22) proxy.
-  double in = 0;
-  for (int i = 0; i < sys.num_clusters(); ++i) {
-    if (i == c) continue;
-    in += static_cast<double>(sys.NodesInCluster(i)) * EffectiveU(sys, i) *
-          RateScale(i) * InterDestProbability(sys, i, c);
-  }
-  return 0.5 * (out + in);
 }
 
 std::vector<double> Workload::EcnLoadFactors(const SystemConfig& sys) const {
@@ -386,10 +344,11 @@ std::vector<double> Workload::EcnLoadFactors(const SystemConfig& sys) const {
         RateScale(i);
   }
   if (!DestinationSkewed()) return out;
-  // Accumulate each cluster's incoming inter rate row by row — the same
-  // terms, in the same source order, as EcnLoadFactor's per-cluster loop,
-  // but with each source's destination-probability row (and its normalizer)
-  // computed once instead of per (source, destination) pair.
+  // Accumulate each cluster's incoming inter rate row by row, in source
+  // order, with each source's destination-probability row (and its
+  // normalizer) computed once instead of per (source, destination) pair.
+  // The reference model's per-cluster form sums the same terms in the same
+  // order.
   const double n = static_cast<double>(sys.TotalNodes());
   const int h = sys.ClusterOfNode(hotspot_node);
   const double f = hotspot_fraction;

@@ -18,8 +18,8 @@
 //     interarrival SCV through the two-moment G/G/1 correction; the sim
 //     draws gaps (and, for traces, sources/destinations/lengths) from it.
 //
-// The model consumes the probabilistic accessors (EffectiveU, EcnLoadFactor,
-// InterDestProbability, MeanFlits/FlitVariance); the simulator's traffic
+// The model consumes the probabilistic accessors (EffectiveU, EcnLoadFactors,
+// InterDestProbabilities, MeanFlits/FlitVariance); the simulator's traffic
 // generator draws from exactly the same object (thinned per-cluster Poisson
 // superposition, sampled flit counts). The default-constructed Workload is
 // the paper's assumption 2 and reproduces the seed model and simulator
@@ -177,27 +177,18 @@ struct Workload {
     return pattern == WorkloadPattern::kHotspot && hotspot_fraction > 0;
   }
 
-  /// P(destination cluster = j | inter-cluster message from cluster i), for
-  /// j != i. Uniform-family patterns: N_j / (N - N_i); hotspot concentrates
-  /// mass on the hot cluster.
-  double InterDestProbability(const SystemConfig& sys, int i, int j) const;
-
-  /// The full i * C + j destination-probability matrix in one O(C^2) pass,
-  /// bit-identical to calling InterDestProbability per ordered pair (each
-  /// row's masses and normalizer are the same terms in the same source
-  /// order, computed once per row instead of once per pair). The compiled
-  /// model's hotspot path fills dest_prob_ from this.
+  /// The i * C + j matrix of P(destination cluster = j | inter-cluster
+  /// message from cluster i), j != i, in one O(C^2) pass (the diagonal is
+  /// zero). Uniform-family patterns: N_j / (N - N_i); hotspot concentrates
+  /// mass on the hot cluster. Each row's masses and normalizer are summed
+  /// in destination order, once per row.
   std::vector<double> InterDestProbabilities(const SystemConfig& sys) const;
 
-  /// Per-unit-lambda_g message rate the pair equations attribute to cluster
-  /// c's ECN1: N_c U_c s_c (the Eq. 22 term) for unskewed patterns, and the
-  /// symmetrized actual load (outgoing + incoming)/2 under hotspot — the
-  /// per-link rate overlay on the routes into the hot cluster.
-  double EcnLoadFactor(const SystemConfig& sys, int c) const;
-
-  /// All clusters' EcnLoadFactor values in one O(C^2) pass (bit-identical to
-  /// calling EcnLoadFactor per cluster). ComputeInter precomputes this once
-  /// so the per-pair equations don't redo the hotspot incoming-rate sums.
+  /// Per cluster c, the per-unit-lambda_g message rate the pair equations
+  /// attribute to c's ECN1, in one O(C^2) pass: N_c U_c s_c (the Eq. 22
+  /// term) for unskewed patterns, and the symmetrized actual load
+  /// (outgoing + incoming)/2 under hotspot — the per-link rate overlay on
+  /// the routes into the hot cluster.
   std::vector<double> EcnLoadFactors(const SystemConfig& sys) const;
 
   /// Message-length moments against the system's MessageFormat.

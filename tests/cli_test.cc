@@ -581,7 +581,16 @@ TEST(Cli, NumericFlagsParseStrictly) {
   EXPECT_NE(junk.err.find("--rate expects a number, got '1e-4junk'"),
             std::string::npos)
       << junk.err;
-  for (const char* points : {"3.x", "nan", "inf", "four"}) {
+  // A leading space or '+' is not part of a number (std::stod skips both).
+  for (const char* rate : {" 1e-4", "+1e-4"}) {
+    const auto r = RunCommand({"model", "preset:1120", "--rate", rate});
+    EXPECT_EQ(r.code, 2) << rate;
+    EXPECT_NE(r.err.find(std::string("--rate expects a number, got '") +
+                         rate + "'"),
+              std::string::npos)
+        << rate << ": " << r.err;
+  }
+  for (const char* points : {"3.x", "nan", "inf", "four", " 3", "+3"}) {
     const auto r = RunCommand({"sweep", "preset:tiny:16:64", "--max-rate",
                                "1e-3", "--points", points, "--no-sim"});
     EXPECT_EQ(r.code, 2) << points;

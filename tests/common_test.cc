@@ -237,10 +237,23 @@ TEST(ParseNum, Int64ConsumesTheWholeToken) {
   EXPECT_EQ(ParseFullInt64("-7"), -7);
   EXPECT_EQ(ParseFullInt64("9223372036854775807"),
             std::numeric_limits<std::int64_t>::max());
-  // Trailing junk, overflow and empty input all fail.
+  // Trailing junk, overflow and empty input all fail, and so does a leading
+  // space or '+' (std::stoll would skip both).
   for (const char* bad : {"12x", "1.5", "3 ", "0x10", "9223372036854775808",
-                          "-9223372036854775809", "", "x", "-"}) {
+                          "-9223372036854775809", "", "x", "-", " 8", "+8",
+                          "\t8", "\n8"}) {
     EXPECT_EQ(ParseFullInt64(bad), std::nullopt) << "'" << bad << "'";
+  }
+  // The int and double forms share the contract.
+  EXPECT_EQ(ParseFullInt("-7"), -7);
+  for (const char* bad : {"", " 8", "+8", "8 ", "2147483648"}) {
+    EXPECT_EQ(ParseFullInt(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseFullDouble("-2.5"), -2.5);
+  EXPECT_EQ(ParseFullDouble("1e+4"), 1e4);  // an exponent sign stays valid
+  EXPECT_EQ(ParseFullDouble("1e-4"), 1e-4);
+  for (const char* bad : {"", " 1e-4", "+1e-4", "\t1", "1e-4 ", "1e-4x"}) {
+    EXPECT_EQ(ParseFullDouble(bad), std::nullopt) << "'" << bad << "'";
   }
 }
 

@@ -379,7 +379,8 @@ TEST(TopologySpec, RoundTripsThroughToString) {
 
 TEST(TopologySpec, CountDiagnosticsNameTheToken) {
   for (const char* text : {"crossbar:16x", "crossbar:99999999999999999999",
-                           "tree:m=8,n=", "tree:m=8k"}) {
+                           "tree:m=8,n=", "tree:m=8k", "tree:m= 8,n=1",
+                           "tree:m=+8,n=1", "crossbar: 16", "crossbar:+16"}) {
     try {
       ParseTopologySpec(text);
       ADD_FAILURE() << "accepted " << text;
@@ -401,6 +402,22 @@ TEST(TopologySpec, RejectsMalformedInput) {
   EXPECT_THROW(ParseTopologySpec("tree:m=0"), std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("tree:depth=2"), std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("crossbar:-4"), std::invalid_argument);
+  // A colon with nothing after it, and an empty token from a trailing or
+  // doubled comma, are errors that name the spec — for every family.
+  for (const char* text :
+       {"tree:", "crossbar:", "mesh:", "torus:", "dragonfly:", "tree:m=8,",
+        "tree:m=8,,n=1", "mesh:4x2,", "torus:4x2,,tap=center",
+        "dragonfly:4,2,2,", "dragonfly:a=4,p=2,h=2,"}) {
+    try {
+      ParseTopologySpec(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    std::string("topology spec '") + text + "': ", 0),
+                0u)
+          << e.what();
+    }
+  }
   EXPECT_THROW(ParseTopologySpec("mesh:4x2,tap=middle"),
                std::invalid_argument);
   EXPECT_THROW(ParseTopologySpec("mesh:tap=center"), std::invalid_argument);

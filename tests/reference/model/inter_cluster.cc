@@ -6,6 +6,7 @@
 
 #include "model/mg1.h"
 #include "model/stage_recursion.h"
+#include "model/workload_pairs.h"
 #include "topology/topology.h"
 
 namespace coc {
@@ -189,8 +190,8 @@ InterPairResult ComputeInterPair(const SystemConfig& sys, int i, int j,
                                  const Workload& workload,
                                  const ModelOptions& opts) {
   return ComputeInterPairWithLoads(sys, i, j, lambda_g, icn2_links, workload,
-                                   opts, workload.EcnLoadFactor(sys, i),
-                                   workload.EcnLoadFactor(sys, j));
+                                   opts, EcnLoadFactor(workload, sys, i),
+                                   EcnLoadFactor(workload, sys, j));
 }
 
 InterResult ComputeInter(const SystemConfig& sys, int i, double lambda_g,
@@ -232,7 +233,7 @@ InterResult ComputeInter(const SystemConfig& sys, int i, double lambda_g,
     double w_sum = 0;
     for (int j = 0; j < c; ++j) {
       if (j == i) continue;
-      const double w = workload.InterDestProbability(sys, i, j);
+      const double w = InterDestProbability(workload, sys, i, j);
       const InterPairResult pair = ComputeInterPairWithLoads(
           sys, i, j, lambda_g, icn2_links, workload, opts, load_i,
           loads[static_cast<std::size_t>(j)]);

@@ -12,6 +12,7 @@
 #include "cli/config_parser.h"
 #include "gtest/gtest.h"
 #include "model/latency_model.h"
+#include "model/workload_pairs.h"
 #include "sim/coc_system_sim.h"
 #include "sim/traffic.h"
 #include "system/presets.h"
@@ -151,7 +152,7 @@ TEST(Workload, HotspotInterDestProbabilitiesConcentrateAndNormalize) {
     double max_w = 0;
     int argmax = -1;
     for (int j = 0; j < sys.num_clusters(); ++j) {
-      const double w = wl.InterDestProbability(sys, i, j);
+      const double w = InterDestProbability(wl, sys, i, j);
       if (i == j) {
         EXPECT_EQ(w, 0.0);
         continue;
