@@ -2,11 +2,17 @@
 // protocol. Drives RequestHandler::HandleLine directly (no sockets), so the
 // numbers isolate the protocol + cache + evaluation path from kernel
 // networking noise. Tracked as perf/BENCH_server.json via tools/perf_report.
+//
+// The report-render layer is measured here too: Report::ToJson plus Dump of
+// one paper-scale report, and the batch envelope of 50 of them.
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "api/engine.h"
+#include "api/report.h"
+#include "api/scenario.h"
 #include "common/json.h"
 #include "server/protocol.h"
 
@@ -90,6 +96,36 @@ void BM_ServerBatchRequestCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServerBatchRequestCached);
+
+/// The N=1120 model + bottleneck + saturation report the render benches
+/// serialize (32 clusters, about 5.7 KB of compact JSON).
+coc::Report Report1120() {
+  coc::Engine engine;
+  return engine.Evaluate(coc::ParseScenarios(R"(
+[scenario render]
+system = preset:1120
+analyses = model,bottleneck,saturation
+rate = 1e-4
+)").front());
+}
+
+/// Report::ToJson().Dump() of one report: the per-scenario render cost.
+void BM_ReportRender1120(benchmark::State& state) {
+  const coc::Report report = Report1120();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(report.ToJson().Dump());
+  }
+}
+BENCHMARK(BM_ReportRender1120);
+
+/// BatchToJson of 50 such reports, then Dump: one batch chunk's render.
+void BM_BatchRender(benchmark::State& state) {
+  const std::vector<coc::Report> reports(50, Report1120());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(coc::BatchToJson(reports).Dump());
+  }
+}
+BENCHMARK(BM_BatchRender);
 
 }  // namespace
 

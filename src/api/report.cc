@@ -11,17 +11,38 @@ namespace {
 // Non-finite doubles go through JsonSetNumber: null plus an explicit
 // "<key>_nonfinite" sentinel, so a saturated +inf is distinguishable from a
 // missing measurement (schema v2; v1 emitted a bare null).
+//
+// Every object and array is reserved to its exact member count before it is
+// filled, so none regrows mid-build.
+
+/// Members JsonSetNumber adds for these values: one per value, two for a
+/// non-finite one (the null and its sentinel).
+template <typename... Doubles>
+std::size_t NumberMembers(Doubles... v) {
+  return (std::size_t{0} + ... + (std::isfinite(v) ? 1 : 2));
+}
+
+/// An object or array with room for exactly `n` members.
+Json Sized(Json container, std::size_t n) {
+  container.Reserve(n);
+  return container;
+}
 
 Json ModelToJson(const ModelAnalysisResult& a) {
-  Json j = Json::Object();
+  Json j = Sized(Json::Object(),
+                 NumberMembers(a.rate, a.result.mean_latency,
+                               a.saturation_rate) +
+                     2 + (a.note.empty() ? 0 : 1));
   JsonSetNumber(j, "rate", a.rate);
   j.Set("saturated", a.result.saturated);
   JsonSetNumber(j, "mean_latency_us", a.result.mean_latency);
   JsonSetNumber(j, "saturation_rate", a.saturation_rate);
   if (!a.note.empty()) j.Set("note", a.note);
-  Json clusters = Json::Array();
+  Json clusters = Sized(Json::Array(), a.result.clusters.size());
   for (const ClusterLatency& cl : a.result.clusters) {
-    Json c = Json::Object();
+    Json c = Sized(Json::Object(),
+                   NumberMembers(cl.u, cl.intra.l_in, cl.intra.w_in,
+                                 cl.inter.l_out, cl.inter.w_d, cl.blended));
     JsonSetNumber(c, "u", cl.u);
     JsonSetNumber(c, "l_in", cl.intra.l_in);
     JsonSetNumber(c, "w_in", cl.intra.w_in);
@@ -35,7 +56,12 @@ Json ModelToJson(const ModelAnalysisResult& a) {
 }
 
 Json BottleneckToJson(const BottleneckAnalysisResult& a) {
-  Json j = Json::Object();
+  Json j = Sized(
+      Json::Object(),
+      NumberMembers(a.rate, a.report.condis_rho, a.report.inter_source_rho,
+                    a.report.intra_source_rho, a.saturation_rate) +
+          (a.destination_skewed ? NumberMembers(a.report.hot_eject_rho) : 0) +
+          1 + (a.note.empty() ? 0 : 1));
   JsonSetNumber(j, "rate", a.rate);
   JsonSetNumber(j, "condis_rho", a.report.condis_rho);
   JsonSetNumber(j, "inter_source_rho", a.report.inter_source_rho);
@@ -50,7 +76,13 @@ Json BottleneckToJson(const BottleneckAnalysisResult& a) {
 }
 
 Json SweepPointToJson(const SweepPoint& p) {
-  Json j = Json::Object();
+  Json j = Sized(
+      Json::Object(),
+      NumberMembers(p.lambda_g, p.model_latency) + 1 +
+          (p.sim_latency ? NumberMembers(*p.sim_latency, p.sim_ci95,
+                                         p.sim_intra, p.sim_inter,
+                                         p.sim_icn2_max_util)
+                         : 0));
   JsonSetNumber(j, "lambda_g", p.lambda_g);
   JsonSetNumber(j, "model_latency_us", p.model_latency);
   j.Set("model_saturated", p.model_saturated);
@@ -65,28 +97,29 @@ Json SweepPointToJson(const SweepPoint& p) {
 }
 
 Json SimToJson(const SimAnalysisResult& a) {
-  Json j = Json::Object();
+  Json j = Sized(Json::Object(), NumberMembers(a.rate, a.duration) + 6);
   JsonSetNumber(j, "rate", a.rate);
   j.Set("seed", a.seed);
   j.Set("delivered", a.delivered);
   JsonSetNumber(j, "duration_us", a.duration);
-  Json latency = Json::Object();
+  Json latency =
+      Sized(Json::Object(), NumberMembers(a.mean, a.ci95, a.min, a.max));
   JsonSetNumber(latency, "mean", a.mean);
   JsonSetNumber(latency, "ci95", a.ci95);
   JsonSetNumber(latency, "min", a.min);
   JsonSetNumber(latency, "max", a.max);
   j.Set("latency_us", std::move(latency));
-  Json intra = Json::Object();
+  Json intra = Sized(Json::Object(), NumberMembers(a.intra_mean) + 1);
   JsonSetNumber(intra, "mean_us", a.intra_mean);
   intra.Set("messages", a.intra_count);
   j.Set("intra", std::move(intra));
-  Json inter = Json::Object();
+  Json inter = Sized(Json::Object(), NumberMembers(a.inter_mean) + 1);
   JsonSetNumber(inter, "mean_us", a.inter_mean);
   inter.Set("messages", a.inter_count);
   j.Set("inter", std::move(inter));
-  Json util = Json::Object();
+  Json util = Sized(Json::Object(), 3);
   const auto net = [](double mean, double max) {
-    Json n = Json::Object();
+    Json n = Sized(Json::Object(), NumberMembers(mean, max));
     JsonSetNumber(n, "mean", mean);
     JsonSetNumber(n, "max", max);
     return n;
@@ -99,7 +132,7 @@ Json SimToJson(const SimAnalysisResult& a) {
 }
 
 Json StatusToJson(const ReportStatus& s) {
-  Json j = Json::Object();
+  Json j = Sized(Json::Object(), s.message.empty() ? 2 : 3);
   j.Set("code", StatusCodeName(s.code));
   j.Set("ok", s.ok());
   if (!s.message.empty()) j.Set("message", s.message);
@@ -109,11 +142,15 @@ Json StatusToJson(const ReportStatus& s) {
 }  // namespace
 
 Json Report::ToJson() const {
-  Json j = Json::Object();
+  // schema_version, scenario, status, system, workload, then one key per
+  // present analysis.
+  Json j = Sized(Json::Object(), 5 + (model ? 1 : 0) + (bottleneck ? 1 : 0) +
+                                     (saturation_rate ? 1 : 0) +
+                                     (sweep ? 1 : 0) + (sim ? 1 : 0));
   j.Set("schema_version", kReportSchemaVersion);
   j.Set("scenario", scenario);
   j.Set("status", StatusToJson(status));
-  Json system = Json::Object();
+  Json system = Sized(Json::Object(), 7 + NumberMembers(flit_bytes));
   system.Set("spec", system_spec);
   system.Set("clusters", clusters);
   system.Set("nodes", nodes);
@@ -127,13 +164,13 @@ Json Report::ToJson() const {
   if (model) j.Set("model", ModelToJson(*model));
   if (bottleneck) j.Set("bottleneck", BottleneckToJson(*bottleneck));
   if (saturation_rate) {
-    Json s = Json::Object();
+    Json s = Sized(Json::Object(), NumberMembers(*saturation_rate));
     JsonSetNumber(s, "rate", *saturation_rate);
     j.Set("saturation", std::move(s));
   }
   if (sweep) {
-    Json s = Json::Object();
-    Json points = Json::Array();
+    Json s = Sized(Json::Object(), 1);
+    Json points = Sized(Json::Array(), sweep->points.size());
     for (const SweepPoint& p : sweep->points) {
       points.Push(SweepPointToJson(p));
     }
@@ -145,9 +182,9 @@ Json Report::ToJson() const {
 }
 
 Json BatchToJson(const std::vector<Report>& reports) {
-  Json j = Json::Object();
+  Json j = Sized(Json::Object(), 2);
   j.Set("schema_version", kReportSchemaVersion);
-  Json arr = Json::Array();
+  Json arr = Sized(Json::Array(), reports.size());
   for (const Report& r : reports) arr.Push(r.ToJson());
   j.Set("reports", std::move(arr));
   return j;

@@ -2,11 +2,75 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace coc {
+namespace {
+
+// The emitter's two appenders: every number and every quoted key or string
+// value is written straight into the output.
+
+constexpr std::size_t kMaxDoubleChars = 24;  // "-2.2250738585072014e-308"
+constexpr std::size_t kMaxIntChars = 20;     // "18446744073709551615"
+
+void AppendNumber(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+/// How the emitter spells byte `c` inside a string: 0 for the byte itself,
+/// 'u' for \u00XX, otherwise the letter of its two-character escape.
+char EscapeOf(char c) {
+  switch (c) {
+    case '"': return '"';
+    case '\\': return '\\';
+    case '\b': return 'b';
+    case '\f': return 'f';
+    case '\n': return 'n';
+    case '\r': return 'r';
+    case '\t': return 't';
+    default: return static_cast<unsigned char>(c) < 0x20 ? 'u' : 0;
+  }
+}
+
+/// Quoted + escaped length of `s`: what AppendEscaped writes.
+std::size_t EscapedSize(std::string_view s) {
+  std::size_t n = s.size() + 2;
+  for (const char c : s) {
+    const char e = EscapeOf(c);
+    n += e == 0 ? 0 : (e == 'u' ? 5 : 1);
+  }
+  return n;
+}
+
+void AppendEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  for (const char c : s) {
+    const char e = EscapeOf(c);
+    if (e == 0) {
+      out += c;
+      continue;
+    }
+    out += '\\';
+    out += e;
+    if (e == 'u') {
+      out += "00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xF];
+    }
+  }
+  out += '"';
+}
+
+}  // namespace
 
 Json& Json::Set(std::string key, Json value) {
   if (kind_ == Kind::kNull) kind_ = Kind::kObject;
@@ -32,6 +96,17 @@ Json& Json::Remove(const std::string& key) {
       object_.erase(it);
       break;
     }
+  }
+  return *this;
+}
+
+Json& Json::Reserve(std::size_t n) {
+  if (kind_ == Kind::kArray) {
+    array_.reserve(n);
+  } else if (kind_ == Kind::kObject) {
+    object_.reserve(n);
+  } else {
+    throw std::invalid_argument("Json::Reserve on a non-container value");
   }
   return *this;
 }
@@ -101,21 +176,40 @@ const std::vector<std::pair<std::string, Json>>& Json::Members() const {
 }
 
 std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  std::string out;
+  AppendNumber(out, v);
+  return out;
 }
 
-Json& JsonSetNumber(Json& obj, const std::string& key, double v) {
-  if (std::isfinite(v)) {
-    obj.Set(key, v);
-    obj.Remove(key + "_nonfinite");  // retire a stale sentinel on overwrite
-    return obj;
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  AppendEscaped(out, s);
+  return out;
+}
+
+Json& JsonSetNumber(Json& obj, std::string key, double v) {
+  static constexpr std::string_view kSuffix = "_nonfinite";
+  if (!std::isfinite(v)) {
+    std::string sentinel = key;
+    sentinel += kSuffix;
+    obj.Set(std::move(key), Json());
+    return obj.Set(std::move(sentinel),
+                   v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
   }
-  obj.Set(key, Json());
-  obj.Set(key + "_nonfinite", v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
-  return obj;
+  // Retire a stale sentinel on overwrite, matched in place (no temporary
+  // key + suffix string on this, the every-number path).
+  if (obj.kind_ == Json::Kind::kObject) {
+    auto& members = obj.object_;
+    for (auto it = members.begin(); it != members.end(); ++it) {
+      const std::string_view k = it->first;
+      if (k.size() == key.size() + kSuffix.size() && k.starts_with(key) &&
+          k.ends_with(kSuffix)) {
+        members.erase(it);
+        break;
+      }
+    }
+  }
+  return obj.Set(std::move(key), v);
 }
 
 double JsonGetNumber(const Json& obj, const std::string& key) {
@@ -138,31 +232,35 @@ double JsonGetNumber(const Json& obj, const std::string& key) {
                               "' for field '" + key + "'");
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+std::size_t Json::DumpBound(int indent, int depth) const {
+  // Newline plus indentation before a member at depth d (pretty form only).
+  const auto newline = [&](int d) -> std::size_t {
+    return indent > 0 ? 1 + static_cast<std::size_t>(indent * d) : 0;
+  };
+  switch (kind_) {
+    case Kind::kNull: return 4;
+    case Kind::kBool: return 5;
+    case Kind::kInt: return kMaxIntChars;
+    case Kind::kDouble: return kMaxDoubleChars;
+    case Kind::kString: return EscapedSize(string_);
+    case Kind::kArray: {
+      // Brackets and separators: '[' ']' and one ',' or newline slack each.
+      std::size_t n = 2 + newline(depth);
+      for (const Json& v : array_) {
+        n += 1 + newline(depth + 1) + v.DumpBound(indent, depth + 1);
+      }
+      return n;
+    }
+    case Kind::kObject: {
+      std::size_t n = 2 + newline(depth);
+      for (const auto& [k, v] : object_) {
+        n += 1 + newline(depth + 1) + EscapedSize(k) + 2 +
+             v.DumpBound(indent, depth + 1);
+      }
+      return n;
     }
   }
-  out += '"';
-  return out;
+  return 0;
 }
 
 void Json::DumpTo(std::string& out, int indent, int depth) const {
@@ -188,10 +286,10 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       return;
     }
     case Kind::kDouble:
-      out += JsonNumber(double_);
+      AppendNumber(out, double_);
       return;
     case Kind::kString:
-      out += JsonEscape(string_);
+      AppendEscaped(out, string_);
       return;
     case Kind::kArray: {
       if (array_.empty()) {
@@ -217,7 +315,7 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i != 0) out += ',';
         newline(depth + 1);
-        out += JsonEscape(object_[i].first);
+        AppendEscaped(out, object_[i].first);
         out += indent > 0 ? ": " : ":";
         object_[i].second.DumpTo(out, indent, depth + 1);
       }
@@ -230,6 +328,8 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
 
 std::string Json::Dump(int indent) const {
   std::string out;
+  // +1: JsonLine appends the frame's newline without regrowing.
+  out.reserve(DumpBound(indent, 0) + 1);
   DumpTo(out, indent, 0);
   return out;
 }
@@ -282,8 +382,16 @@ class Parser {
   Json Value() {
     const char c = Peek();
     switch (c) {
-      case '{': return ObjectValue();
-      case '[': return ArrayValue();
+      case '{':
+      case '[': {
+        if (++depth_ > Json::kMaxParseDepth) {
+          Fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth) +
+               " arrays/objects");
+        }
+        Json v = c == '{' ? ObjectValue() : ArrayValue();
+        --depth_;
+        return v;
+      }
       case '"': return Json(StringValue());
       case 't':
         if (Literal("true")) return Json(true);
@@ -432,6 +540,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current value
 };
 
 }  // namespace

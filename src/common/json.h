@@ -11,10 +11,20 @@
 // Non-finite doubles have no JSON spelling; they serialize as null (callers
 // carry an explicit flag, e.g. "saturated", when the distinction matters).
 //
+// The emitter writes in place: Dump sizes its output with one walk over the
+// tree, reserves it once, and appends every number, key and string straight
+// into it (no temporary string per value). Building is the other half of a
+// report's cost: each container member is a (key, Json) pair, so a builder
+// that knows how many members an array or object will hold calls Reserve
+// first and the container never regrows mid-build.
+//
 // The parser accepts standard JSON (objects, arrays, strings with escapes,
 // numbers, true/false/null) and throws std::invalid_argument with a byte
-// offset on malformed input. perf_report uses it to read google-benchmark
-// artifacts; tests use it to validate emitted reports.
+// offset on malformed input, including nesting deeper than kMaxParseDepth
+// arrays and objects (the parser recurses once per level, so an unbounded
+// depth would let one hostile request line overflow a server thread's
+// stack). perf_report uses it to read google-benchmark artifacts; tests use
+// it to validate emitted reports.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +47,9 @@ class Json {
     kArray,
     kObject,
   };
+
+  /// Deepest array/object nesting Parse accepts.
+  static constexpr int kMaxParseDepth = 256;
 
   Json() = default;  ///< null
   Json(bool b) : kind_(Kind::kBool), bool_(b) {}
@@ -74,6 +87,9 @@ class Json {
   Json& Remove(const std::string& key);
   /// Array append.
   Json& Push(Json value);
+  /// Reserves room for `n` members of an array or object (one allocation
+  /// instead of regrowth while it is filled). Returns *this.
+  Json& Reserve(std::size_t n);
 
   // --- read access (parser consumers; throw on kind mismatch) -------------
   bool AsBool() const;
@@ -93,13 +109,17 @@ class Json {
   /// for equal trees.
   std::string Dump(int indent = 0) const;
 
-  /// Strict parse of one JSON document (trailing garbage rejected). Throws
-  /// std::invalid_argument naming the byte offset on malformed input.
+  /// Strict parse of one JSON document (trailing garbage rejected, nesting
+  /// capped at kMaxParseDepth). Throws std::invalid_argument naming the byte
+  /// offset on malformed input.
   static Json Parse(const std::string& text);
 
   friend bool operator==(const Json&, const Json&) = default;
+  friend Json& JsonSetNumber(Json& obj, std::string key, double v);
 
  private:
+  /// Upper bound on the size of DumpTo's output for this subtree.
+  std::size_t DumpBound(int indent, int depth) const;
   void DumpTo(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::kNull;
@@ -112,9 +132,8 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
-/// Deterministic number spellings used by the emitter (exposed for callers
-/// that need the same spelling outside a Json tree, e.g. CSV cells that must
-/// match a JSON golden).
+/// The emitter's spellings as standalone strings, for callers that need them
+/// outside a Json tree (CSV cells that must match a JSON golden, cache keys).
 std::string JsonNumber(double v);        ///< shortest round-trip; null-safe
 std::string JsonEscape(const std::string& s);  ///< quoted + escaped
 
@@ -123,7 +142,7 @@ std::string JsonEscape(const std::string& s);  ///< quoted + escaped
 /// `key + "_nonfinite"` ("inf", "-inf" or "nan"), so the value survives the
 /// wire losslessly instead of collapsing to an ambiguous null. Returns `obj`
 /// for chaining.
-Json& JsonSetNumber(Json& obj, const std::string& key, double v);
+Json& JsonSetNumber(Json& obj, std::string key, double v);
 
 /// Inverse of JsonSetNumber: reads `key`, reconstructing inf/-inf/nan from
 /// the sibling sentinel when `key` is null. Throws std::invalid_argument on

@@ -3,7 +3,10 @@
 // emit/parse round trips — the invariants the golden report snapshots and
 // the batch bit-identity guarantee stand on.
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <random>
 #include <string>
 
 #include "common/json.h"
@@ -112,6 +115,182 @@ TEST(Json, NonFiniteNumbersRoundTripThroughSentinels) {
   EXPECT_THROW(JsonGetNumber(bare, "absent"), std::invalid_argument);
   const Json odd = Json::Parse("{\"x\":null,\"x_nonfinite\":\"huge\"}");
   EXPECT_THROW(JsonGetNumber(odd, "x"), std::invalid_argument);
+}
+
+TEST(Json, JsonSetNumberOverwritesKeepSentinelsConsistent) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // A finite value over a non-finite one retires the sentinel, and the key
+  // keeps its position.
+  Json j = Json::Object();
+  JsonSetNumber(j, "rate", -inf);
+  j.Set("after", 1);
+  JsonSetNumber(j, "rate", 0.5);
+  EXPECT_EQ(j.Dump(), "{\"rate\":0.5,\"after\":1}");
+  // A non-finite value over a finite one nulls the key and adds the
+  // sentinel at the end.
+  JsonSetNumber(j, "rate", std::nan(""));
+  EXPECT_EQ(j.Dump(),
+            "{\"rate\":null,\"after\":1,\"rate_nonfinite\":\"nan\"}");
+  // Another non-finite value overwrites the sentinel in place.
+  JsonSetNumber(j, "rate", inf);
+  EXPECT_EQ(j.Dump(),
+            "{\"rate\":null,\"after\":1,\"rate_nonfinite\":\"inf\"}");
+  // Keys that merely share a prefix or suffix with "rate"'s sentinel are
+  // other fields, and a finite "rate" leaves them alone.
+  Json k = Json::Object();
+  k.Set("rate_x_nonfinite", "inf");
+  k.Set("ra_nonfinite", "inf");
+  k.Set("rate_nonfinite2", "inf");
+  k.Set("xrate_nonfinite", "inf");
+  JsonSetNumber(k, "rate", 2.0);
+  EXPECT_EQ(k.Dump(),
+            "{\"rate_x_nonfinite\":\"inf\",\"ra_nonfinite\":\"inf\","
+            "\"rate_nonfinite2\":\"inf\",\"xrate_nonfinite\":\"inf\","
+            "\"rate\":2}");
+  // Only an object takes numbers.
+  Json arr = Json::Array();
+  EXPECT_THROW(JsonSetNumber(arr, "rate", 1.0), std::invalid_argument);
+}
+
+TEST(Json, EscapesEveryByteLikeTheReferenceSpelling) {
+  // The emitter's escaping, pinned byte by byte against the printf-based
+  // spelling reports were first emitted with.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    std::string escaped;
+    switch (c) {
+      case '"': escaped = "\\\""; break;
+      case '\\': escaped = "\\\\"; break;
+      case '\b': escaped = "\\b"; break;
+      case '\f': escaped = "\\f"; break;
+      case '\n': escaped = "\\n"; break;
+      case '\r': escaped = "\\r"; break;
+      case '\t': escaped = "\\t"; break;
+      default:
+        if (b < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", b);
+          escaped = buf;
+        } else {
+          escaped = std::string(1, c);
+        }
+    }
+    const std::string text = {'a', c, 'z'};
+    const std::string want = "\"a" + escaped.append("z\"");
+    EXPECT_EQ(JsonEscape(text), want) << "byte " << b;
+    EXPECT_EQ(Json(text).Dump(), want) << "byte " << b;
+    EXPECT_EQ(Json::Object().Set(text, 1).Dump(), "{" + want + ":1}")
+        << "byte " << b;
+  }
+}
+
+/// A random tree for the emit/parse property: nested arrays and objects,
+/// integers across the int64 and uint64 ranges, doubles of every magnitude
+/// and sign, and strings drawn from every escape class.
+Json RandomTree(std::mt19937_64& rng, int depth) {
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  const auto random_string = [&] {
+    // Plain text, the short escapes, control bytes (\u00XX), DEL and
+    // bytes above 0x7f.
+    static constexpr char kPool[] = "aZ9 /\"\\\b\f\n\r\t\x01\x1f\x7f\x80\xff";
+    std::string s;
+    const int len = pick(12);
+    for (int i = 0; i < len; ++i) {
+      s += pick(8) == 0 ? static_cast<char>(pick(0x20))
+                        : kPool[pick(sizeof kPool - 1)];
+    }
+    return s;
+  };
+  const int kind = depth >= 4 ? pick(6) : pick(8);
+  switch (kind) {
+    case 0: return Json();
+    case 1: return Json(pick(2) == 0);
+    case 2: {
+      // Signed integers, and uint64 values above INT64_MAX.
+      const std::uint64_t bits = rng();
+      return pick(2) == 0 ? Json(static_cast<std::int64_t>(bits))
+                          : Json(bits | (std::uint64_t{1} << 63));
+    }
+    case 3: {
+      // Negative, tiny (down to subnormal) and huge doubles; never -0.0,
+      // which has no integer-free spelling and parses back as 0.
+      const double mantissa =
+          1.0 + static_cast<double>(rng() >> 12) * 0x1p-52;  // [1, 2)
+      const double v = std::ldexp(mantissa, pick(2098) - 1074);
+      return Json(pick(2) == 0 ? v : -v);
+    }
+    case 4:
+    case 5: return Json(random_string());
+    case 6: {
+      Json arr = Json::Array();
+      for (int n = pick(5); n > 0; --n) arr.Push(RandomTree(rng, depth + 1));
+      return arr;
+    }
+    default: {
+      Json obj = Json::Object();
+      for (int n = pick(5); n > 0; --n) {
+        obj.Set(random_string(), RandomTree(rng, depth + 1));
+      }
+      return obj;
+    }
+  }
+}
+
+TEST(Json, RandomTreesSurviveEmitParseEmit) {
+  std::mt19937_64 rng(20061019);
+  for (int i = 0; i < 500; ++i) {
+    const Json j = RandomTree(rng, 0);
+    for (const int indent : {0, 2}) {
+      const std::string once = j.Dump(indent);
+      EXPECT_EQ(Json::Parse(once).Dump(indent), once)
+          << "tree " << i << " indent " << indent;
+    }
+  }
+}
+
+TEST(Json, ParseCapsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const Json deepest = Json::Parse(nested(Json::kMaxParseDepth));
+  EXPECT_EQ(deepest.Dump(), nested(Json::kMaxParseDepth));
+  const std::string objects =
+      std::string(Json::kMaxParseDepth - 1, '[') + "{\"k\":1}" +
+      std::string(Json::kMaxParseDepth - 1, ']');
+  EXPECT_EQ(Json::Parse(objects).Dump(), objects);
+
+  for (const std::string& deep :
+       {nested(Json::kMaxParseDepth + 1), std::string(100000, '['),
+        std::string(Json::kMaxParseDepth, '[') + "{\"k\":1}" +
+            std::string(Json::kMaxParseDepth, ']')}) {
+    try {
+      Json::Parse(deep);
+      ADD_FAILURE() << "parsed " << deep.size() << " bytes of nesting";
+    } catch (const std::invalid_argument& e) {
+      // The 257th opening bracket is at byte offset 256.
+      EXPECT_NE(std::string(e.what()).find("at byte 256"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Json, ReserveKeepsContentsAndRejectsScalars) {
+  Json arr = Json::Array();
+  arr.Reserve(4).Push(1).Push(2);
+  EXPECT_EQ(arr.Dump(), "[1,2]");
+  Json obj = Json::Object();
+  obj.Reserve(2).Set("a", 1).Set("b", 2).Set("c", 3);  // past the reserve
+  EXPECT_EQ(obj.Dump(), "{\"a\":1,\"b\":2,\"c\":3}");
+  Json scalar(1.5);
+  EXPECT_THROW(scalar.Reserve(1), std::invalid_argument);
+  Json null;
+  EXPECT_THROW(null.Reserve(1), std::invalid_argument);
 }
 
 TEST(Json, SetOverwritesInPlaceKeepingPosition) {

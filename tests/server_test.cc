@@ -579,6 +579,34 @@ TEST(EvalServer, OverlongLineGetsUsageErrorAndTheServerKeepsServing) {
   EXPECT_EQ(server.Wait(), 0);
 }
 
+TEST(EvalServer, DeeplyNestedLineGetsParseErrorAndTheServerKeepsServing) {
+  // 200,000 '[' fits the 1 MiB line cap; the parser's nesting cap turns it
+  // into one malformed-request answer instead of a worker stack overflow.
+  ServerOptions opts;
+  opts.threads = 2;
+  EvalServer server(std::move(opts));
+  server.Start();
+  {
+    Client client(server.port());
+    client.SendAndFinish(std::string(200000, '[') + "\n");
+    const Json reply = Json::Parse(client.ReadLine());
+    const Json* status = reply.Find("status");
+    ASSERT_NE(status, nullptr);
+    EXPECT_EQ(status->Find("code")->AsString(), "scenario_error");
+    EXPECT_FALSE(status->Find("ok")->AsBool());
+    EXPECT_NE(status->Find("message")->AsString().find("nesting deeper"),
+              std::string::npos);
+    EXPECT_EQ(client.ReadLine(), "") << "exactly one reply line";
+  }
+  Client fresh(server.port());
+  fresh.SendAndFinish("{\"op\":\"stats\"}\n");
+  const Json stats = Json::Parse(fresh.ReadLine());
+  ASSERT_NE(stats.Find("server"), nullptr);
+  EXPECT_EQ(stats.Find("server")->Find("protocol_errors")->AsInt(), 1);
+  server.Stop();
+  EXPECT_EQ(server.Wait(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // The submit client verb against an in-process server.
 

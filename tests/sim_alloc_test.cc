@@ -3,13 +3,19 @@
 // that a warmed-up engine (and the whole CocSystemSim::Run streaming path
 // with a reused SimScratch) performs **zero** heap allocations per message
 // in steady state — every container only ever reuses capacity retained
-// across Reset().
+// across Reset(). It also pins the report renderer's allocations: one per
+// container and per heap-sized string, never one per field.
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "api/engine.h"
+#include "api/report.h"
+#include "api/scenario.h"
+#include "common/json.h"
 #include "gtest/gtest.h"
 #include "sim/coc_system_sim.h"
 #include "sim/wormhole_engine.h"
@@ -281,6 +287,82 @@ TEST(ZeroAlloc, DragonflyRoutingStaysAllocationFree) {
   EXPECT_EQ(small_allocs, large_allocs)
       << "per-run allocations must not scale with message count";
   EXPECT_LE(large_allocs, 8);
+}
+
+/// Containers and heap-sized strings in a tree: what building it must cost
+/// in allocations, at one per container (reserved to its final size) and
+/// one per string longer than the small-string buffer (keys and values).
+struct TreeCensus {
+  long containers = 0;
+  long heap_strings = 0;
+};
+
+void Census(const Json& j, TreeCensus& census) {
+  const std::size_t sso = std::string().capacity();
+  switch (j.kind()) {
+    case Json::Kind::kString:
+      census.heap_strings += j.AsString().size() > sso ? 1 : 0;
+      return;
+    case Json::Kind::kArray:
+      ++census.containers;
+      for (std::size_t i = 0; i < j.Size(); ++i) Census(j.At(i), census);
+      return;
+    case Json::Kind::kObject:
+      ++census.containers;
+      for (const auto& [key, value] : j.Members()) {
+        census.heap_strings += key.size() > sso ? 1 : 0;
+        Census(value, census);
+      }
+      return;
+    default:
+      return;
+  }
+}
+
+TEST(ZeroAlloc, ReportRendersWithOneAllocationPerContainer) {
+  Engine engine;
+  const Report report = engine.Evaluate(ParseScenarios(R"(
+[scenario render]
+system = preset:1120
+analyses = model,bottleneck,saturation
+rate = 1e-4
+)").front());
+  ASSERT_TRUE(report.status.ok()) << report.status.message;
+  ASSERT_TRUE(report.model && report.bottleneck && report.saturation_rate);
+
+  long before = g_alloc_count.load(std::memory_order_relaxed);
+  const Json tree = report.ToJson();
+  const long to_json = g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::string text = tree.Dump();
+  const long dump = g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  // ToJson: every object and array is reserved to its exact member count,
+  // and every key and value is moved (not copied) into place, so building
+  // costs one allocation per container plus one per string too long for the
+  // small-string buffer. For this report (N=1120, C=32, all values finite):
+  //   containers: the report, status, system, model, model.clusters, the
+  //     32 cluster objects, bottleneck and saturation = 7 + 32 = 39;
+  //   heap strings (libstdc++'s 15-byte buffer): the keys
+  //     "inter_source_rho" and "intra_source_rho" and the binding value
+  //     "concentrator/dispatcher" = 3 (the workload "uniform", the ICN2
+  //     "8-port 2-tree" and every other key fit the buffer);
+  // 42 allocations in all. The census below recounts both from the tree,
+  // so the pin holds for any standard library's buffer size.
+  TreeCensus census;
+  Census(tree, census);
+  EXPECT_EQ(census.containers,
+            7 + static_cast<long>(report.model->result.clusters.size()));
+  EXPECT_EQ(report.model->result.clusters.size(), 32u);
+  EXPECT_EQ(to_json, census.containers + census.heap_strings)
+      << census.containers << " containers, " << census.heap_strings
+      << " heap-sized strings";
+
+  // Dump sizes its output in one walk and writes every value in place: one
+  // allocation for the returned string (two is the ceiling).
+  EXPECT_LE(dump, 2) << text.size() << " bytes";
+  EXPECT_EQ(Json::Parse(text).Dump(), text);
 }
 
 }  // namespace
